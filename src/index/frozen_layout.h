@@ -4,10 +4,13 @@
 #include <stddef.h>
 #include <stdint.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <mutex>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "data/object.h"
@@ -94,6 +97,22 @@ inline constexpr size_t kGroupBytes =
     kGroupSlots * sizeof(FrozenNodeRecord) + 4 * kGroupSlots * sizeof(double);
 static_assert(kGroupBytes == 4096, "one level-grouped group is one page");
 
+/// Element counts of the variable-size body sections; together with the
+/// layout they determine every section offset.
+struct BodyCounts {
+  uint32_t num_nodes = 0;
+  uint32_t num_leaf_entries = 0;
+  /// Length of the term arena (the node term summaries).
+  uint32_t num_terms = 0;
+  /// Posting-list count: one past the largest term id any leaf entry
+  /// carries (0 for an empty body). post_begin holds num_post_terms + 1
+  /// offsets.
+  uint32_t num_post_terms = 0;
+  /// Total posting entries, i.e. the sum of the leaf entries' keyword-set
+  /// sizes (Σ df).
+  uint32_t num_postings = 0;
+};
+
 /// Byte offsets of every section inside a frozen body, for either layout.
 /// The node region (records + MBR lanes) is addressed through per-lane
 /// (offset, stride) descriptors with the single formula
@@ -103,8 +122,9 @@ static_assert(kGroupBytes == 4096, "one level-grouped group is one page");
 ///
 /// kBfs is the degenerate case (each lane its own flat section; stride =
 /// bytes of 64 elements), kLevelGrouped the paged case (all lanes share
-/// stride kGroupBytes and interleave within each group). The term arena and
-/// the leaf-entry arrays are flat contiguous sections in both layouts.
+/// stride kGroupBytes and interleave within each group). The term arena,
+/// the leaf-entry arrays and the posting file are flat contiguous sections
+/// in both layouts.
 struct BodyLayout {
   FrozenLayout layout = FrozenLayout::kBfs;
 
@@ -124,13 +144,12 @@ struct BodyLayout {
   size_t leaf_x_off = 0;
   size_t leaf_y_off = 0;
   size_t leaf_sigs_off = 0;
-  size_t leaf_term_begin_off = 0;
-  size_t leaf_term_count_off = 0;
+  size_t post_begin_off = 0;
+  size_t post_entries_off = 0;
 
   size_t total_bytes = 0;
 
-  static BodyLayout Make(FrozenLayout layout, uint32_t num_nodes,
-                         uint32_t num_leaf_entries, uint32_t num_terms);
+  static BodyLayout Make(FrozenLayout layout, const BodyCounts& counts);
 };
 
 /// The frozen IR-tree: every array the flat traversals touch, resolved
@@ -139,14 +158,17 @@ struct BodyLayout {
 /// write and loading can point straight into an mmap.
 ///
 /// Node records and their MBR lanes are reached through the inline slot
-/// accessors below (layout-dependent placement); the term arena and the
-/// leaf-entry arrays stay plain flat pointers:
-///  * terms[...]                      — term arena: node summaries and leaf
-///    objects' keyword sets as sorted spans.
-///  * leaf_ids/leaf_x/leaf_y/leaf_sigs/leaf_term_begin/leaf_term_count[i]
-///    — leaf entries packed in traversal order: object id, location,
-///    Bloom signature, and keyword span, so a leaf scan never touches the
-///    Dataset.
+/// accessors below (layout-dependent placement); the term arena, the
+/// leaf-entry arrays and the posting file stay plain flat pointers:
+///  * terms[...]                      — term arena: the node summaries as
+///    sorted spans.
+///  * leaf_ids/leaf_x/leaf_y/leaf_sigs[i] — leaf entries packed in traversal
+///    order: object id, location and Bloom signature, so a leaf scan never
+///    touches the Dataset.
+///  * post_begin/post_entries         — the term-major posting file: the
+///    ascending leaf-entry indices of every term (see postings()). A leaf
+///    entry's keyword test is "e lies in the run of t", and the run of t
+///    inside a leaf is a sub-run (see LeafRun).
 struct FrozenView {
   /// Start of the body buffer (node region is at offset 0).
   const uint8_t* body = nullptr;
@@ -165,12 +187,14 @@ struct FrozenView {
   const double* leaf_x = nullptr;
   const double* leaf_y = nullptr;
   const uint64_t* leaf_sigs = nullptr;
-  const uint32_t* leaf_term_begin = nullptr;
-  const uint32_t* leaf_term_count = nullptr;
+  const uint32_t* post_begin = nullptr;
+  const uint32_t* post_entries = nullptr;
 
   uint32_t num_nodes = 0;
   uint32_t num_leaf_entries = 0;
   uint32_t num_terms = 0;
+  uint32_t num_post_terms = 0;
+  uint32_t num_postings = 0;
   uint32_t height = 0;
 
   FrozenLayout layout = FrozenLayout::kBfs;
@@ -208,6 +232,30 @@ struct FrozenView {
     return terms + n.term_begin;
   }
 
+  /// Document frequency of t in the frozen base (0 for ids past the
+  /// posting file).
+  uint32_t df(TermId t) const {
+    return t < num_post_terms ? post_begin[t + 1] - post_begin[t] : 0;
+  }
+
+  /// The whole posting run of t: [first, last) of ascending entry indices.
+  std::pair<const uint32_t*, const uint32_t*> postings(TermId t) const {
+    if (t >= num_post_terms) {
+      return {post_entries, post_entries};
+    }
+    return {post_entries + post_begin[t], post_entries + post_begin[t + 1]};
+  }
+
+  /// The sub-run of t's postings inside the leaf-entry range
+  /// [begin, end): exactly the entries of that range carrying t, ascending.
+  std::pair<const uint32_t*, const uint32_t*> LeafRun(TermId t,
+                                                      uint32_t begin,
+                                                      uint32_t end) const {
+    auto [first, last] = postings(t);
+    first = std::lower_bound(first, last, begin);
+    return {first, std::lower_bound(first, last, end)};
+  }
+
  private:
   const double* lane(size_t lane_off, uint32_t slot) const {
     return reinterpret_cast<const double*>(
@@ -216,6 +264,44 @@ struct FrozenView {
         static_cast<size_t>(slot & kGroupMask) * sizeof(double));
   }
 };
+
+/// Calls visit(e) once for every leaf entry e in [begin, end) that carries
+/// at least one of `num_terms` query terms, in ascending e: the union of the
+/// terms' leaf runs, where run_of(i) returns term i's run inside
+/// [begin, end). These are exactly the survivors of an entry-by-entry
+/// "keyword set meets the query" test, in the same order.
+template <typename RunOf, typename Visit>
+void ForEachLeafMatch(size_t num_terms, uint32_t begin, uint32_t end,
+                      RunOf run_of, Visit visit) {
+  if (num_terms == 1) {
+    for (auto [first, last] = run_of(0); first != last; ++first) {
+      visit(*first);
+    }
+    return;
+  }
+  // Mark the runs in a bitmap over the leaf's entries, then sweep it.
+  constexpr uint32_t kStackWords = 8;
+  const uint32_t words = (end - begin + 63) / 64;
+  uint64_t stack_bits[kStackWords];
+  std::vector<uint64_t> heap_bits;
+  uint64_t* bits = stack_bits;
+  if (words > kStackWords) {
+    heap_bits.resize(words);
+    bits = heap_bits.data();
+  }
+  std::fill(bits, bits + words, uint64_t{0});
+  for (size_t i = 0; i < num_terms; ++i) {
+    for (auto [first, last] = run_of(i); first != last; ++first) {
+      const uint32_t k = *first - begin;
+      bits[k >> 6] |= uint64_t{1} << (k & 63);
+    }
+  }
+  for (uint32_t w = 0; w < words; ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      visit(begin + w * 64 + static_cast<uint32_t>(std::countr_zero(word)));
+    }
+  }
+}
 
 /// Owns the storage behind a FrozenView: either a heap buffer (built by
 /// IrTree::Freeze or by a read-based snapshot load) or an mmap of a snapshot
@@ -261,15 +347,19 @@ struct FrozenStore {
   void MaybeEnforceBudget();
 
   /// Body size in bytes for the given layout and array counts.
-  static size_t BodyBytes(FrozenLayout layout, uint32_t num_nodes,
-                          uint32_t num_leaf_entries, uint32_t num_terms);
+  static size_t BodyBytes(FrozenLayout layout, const BodyCounts& counts);
 
   /// Points `view` at the arrays inside `body_bytes_ptr` (which must hold
   /// BodyBytes bytes, 8-byte aligned), records the counts, and remembers
   /// the body extent for SaveSnapshot.
   void BindView(FrozenLayout layout, const uint8_t* body_bytes_ptr,
-                uint32_t num_nodes, uint32_t num_leaf_entries,
-                uint32_t num_terms, uint32_t height);
+                const BodyCounts& counts, uint32_t height);
+
+  /// The counts the view was bound with.
+  BodyCounts counts() const {
+    return BodyCounts{view.num_nodes, view.num_leaf_entries, view.num_terms,
+                      view.num_post_terms, view.num_postings};
+  }
 
  private:
   std::atomic<uint32_t> budget_ticker_{0};

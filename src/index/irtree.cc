@@ -17,7 +17,6 @@
 
 namespace coskq {
 
-using internal_index::ActiveKernels;
 using internal_index::FrozenNodeRecord;
 using internal_index::FrozenView;
 using internal_index::PrefetchHint;
@@ -933,6 +932,99 @@ void IrTree::RangeRelevant(const Circle& circle, const TermSet& query_terms,
   searcher.Run(root_.get());
 }
 
+namespace {
+
+/// KeywordMatches' mask of one keyword set.
+uint64_t KeywordMask(const TermSet& keywords,
+                     const std::vector<std::pair<TermId, int>>& term_bits) {
+  uint64_t mask = 0;
+  for (const auto& [t, bit] : term_bits) {
+    if (TermSetContains(keywords, t)) {
+      mask |= uint64_t{1} << bit;
+    }
+  }
+  return mask;
+}
+
+bool ById(const IrTree::KeywordMatch& a, const IrTree::KeywordMatch& b) {
+  return a.id < b.id;
+}
+
+}  // namespace
+
+void IrTree::KeywordMatches(
+    const std::vector<std::pair<TermId, int>>& term_bits,
+    std::vector<KeywordMatch>* out) const {
+  ReadGuard guard(this);
+  const DeltaTree* delta = PinnedDelta();
+  std::vector<KeywordMatch> matches;
+  if (frozen_ != nullptr) {
+    // Base: one single-bit match per posting of a listed term, live ids
+    // only; folded per object below.
+    const FrozenView& v = frozen_->view;
+    for (const auto& [t, bit] : term_bits) {
+      for (auto [first, last] = v.postings(t); first != last; ++first) {
+        const ObjectId id = v.leaf_ids[*first];
+        if (delta == nullptr || !delta->IsTombstoned(id)) {
+          matches.push_back(KeywordMatch{
+              id, Point{v.leaf_x[*first], v.leaf_y[*first]},
+              uint64_t{1} << bit});
+        }
+      }
+    }
+  } else {
+    // Never-frozen tree: a range retrieval over the whole plane.
+    TermSet terms;
+    for (const auto& [t, bit] : term_bits) {
+      terms.push_back(t);
+    }
+    NormalizeTermSet(&terms);
+    std::vector<ObjectId> ids;
+    RangeRelevant(
+        Circle(Point{0.0, 0.0}, std::numeric_limits<double>::infinity()),
+        terms, &ids);
+    for (ObjectId id : ids) {
+      const SpatialObject& obj = dataset_->object(id);
+      matches.push_back(
+          KeywordMatch{id, obj.location, KeywordMask(obj.keywords, term_bits)});
+    }
+  }
+  std::sort(matches.begin(), matches.end(), ById);
+  size_t kept = 0;
+  for (size_t i = 0; i < matches.size(); ++i) {
+    if (kept > 0 && matches[kept - 1].id == matches[i].id) {
+      matches[kept - 1].mask |= matches[i].mask;
+    } else {
+      matches[kept++] = matches[i];
+    }
+  }
+  matches.resize(kept);
+  if (delta != nullptr) {
+    // Delta inserts are disjoint from the base and sorted by id.
+    for (ObjectId id : delta->inserts) {
+      const SpatialObject& obj = dataset_->object(id);
+      const uint64_t mask = KeywordMask(obj.keywords, term_bits);
+      if (mask != 0) {
+        matches.push_back(KeywordMatch{id, obj.location, mask});
+      }
+    }
+    std::inplace_merge(matches.begin(),
+                       matches.begin() + static_cast<ptrdiff_t>(kept),
+                       matches.end(), ById);
+  }
+  out->insert(out->end(), matches.begin(), matches.end());
+}
+
+RangeRetrievalStats IrTree::range_stats() const {
+  RangeRetrievalStats stats;
+  stats.posting_calls = range_posting_calls_.load(std::memory_order_relaxed);
+  stats.posting_entries =
+      range_posting_entries_.load(std::memory_order_relaxed);
+  stats.tree_calls = range_tree_calls_.load(std::memory_order_relaxed);
+  stats.tree_entries = range_tree_entries_.load(std::memory_order_relaxed);
+  return stats;
+}
+
 struct IrTree::RelevantStream::Impl {
   struct QueueEntry {
     double distance;
@@ -1091,7 +1183,6 @@ IrTree::RelevantStream::Impl::NextFromTree() {
     // bit.
     auto& queue = this->queue;
     const FrozenView& v = *this->fv;
-    const internal_index::KernelOps& kernels = ActiveKernels();
     const bool masked = this->masked;
     SearchScratch* scratch = this->scratch;
     const uint64_t submask = this->submask;
@@ -1111,56 +1202,26 @@ IrTree::RelevantStream::Impl::NextFromTree() {
       const FrozenNodeRecord& node =
           *static_cast<const FrozenNodeRecord*>(top.node);
       if (node.is_leaf()) {
+        // The union of the query terms' leaf runs: exactly the entries the
+        // per-entry signature, mask and keyword tests kept, in entry order,
+        // so heap pushes and QueryDistance memo calls are unchanged.
         const uint32_t begin = node.entry_begin;
-        const uint32_t count = node.entry_count;
-        if (masked) {
-          // Vectorized Bloom pass over the contiguous leaf_sigs stripe; the
-          // survivors are exactly the entries whose signature test passed
-          // in the scalar loop, in the same order.
-          std::vector<uint32_t>& sidx = scratch->survivor_idx();
-          if (sidx.size() < count) {
-            sidx.resize(count);
-          }
-          const uint32_t n = kernels.sig_any_filter(v.leaf_sigs + begin,
-                                                    count, sub_sig,
-                                                    sidx.data());
-          for (uint32_t k = 0; k < n; ++k) {
-            const uint32_t e = begin + sidx[k];
-            const ObjectId id = v.leaf_ids[e];
-            if (this->delta != nullptr && this->delta->IsTombstoned(id)) {
-              continue;
-            }
-            uint64_t obj_mask = 0;
-            const bool relevant =
-                scratch->CachedObjectMask(id, &obj_mask)
-                    ? (obj_mask & submask) != 0
-                    : TermSpanIntersects(v.terms + v.leaf_term_begin[e],
-                                         v.leaf_term_count[e],
-                                         this->query_terms);
-            if (relevant) {
+        const uint32_t end = begin + node.entry_count;
+        const TermSet& terms = this->query_terms;
+        internal_index::ForEachLeafMatch(
+            terms.size(), begin, end,
+            [&](size_t i) { return v.LeafRun(terms[i], begin, end); },
+            [&](uint32_t e) {
+              const ObjectId id = v.leaf_ids[e];
+              if (this->delta != nullptr && this->delta->IsTombstoned(id)) {
+                return;
+              }
               const Point location{v.leaf_x[e], v.leaf_y[e]};
               const double d = from_origin
                                    ? scratch->QueryDistance(id, location)
                                    : Distance(this->origin, location);
               queue.push(Impl::QueueEntry{d, nullptr, id});
-            }
-          }
-        } else {
-          const uint32_t end = begin + count;
-          for (uint32_t e = begin; e < end; ++e) {
-            if (TermSpanIntersects(v.terms + v.leaf_term_begin[e],
-                                   v.leaf_term_count[e],
-                                   this->query_terms)) {
-              const ObjectId id = v.leaf_ids[e];
-              if (this->delta != nullptr && this->delta->IsTombstoned(id)) {
-                continue;
-              }
-              const Point location{v.leaf_x[e], v.leaf_y[e]};
-              queue.push(Impl::QueueEntry{Distance(this->origin, location),
-                                          nullptr, id});
-            }
-          }
-        }
+            });
       } else {
         const uint32_t first = node.first_child;
         const uint32_t last = first + node.entry_count;

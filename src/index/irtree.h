@@ -56,6 +56,18 @@ struct IndexMemoryStats {
   uint64_t minor_faults = 0;
 };
 
+/// How the frozen body answered RangeRelevant calls (DESIGN.md §11):
+/// calls served from the term-major posting file vs by the tree walk, and
+/// the entries each examined — posting entries scanned on the posting path,
+/// leaf entries of the leaves reached on the tree path. Cumulative since
+/// the tree was built or loaded; the pointer tree is not counted.
+struct RangeRetrievalStats {
+  uint64_t posting_calls = 0;
+  uint64_t posting_entries = 0;
+  uint64_t tree_calls = 0;
+  uint64_t tree_entries = 0;
+};
+
 /// The IR-tree (Cong et al., VLDB 2009): an R-tree whose every node carries
 /// a summary of the keywords present in its subtree, enabling
 /// keyword-constrained spatial search — the access method all CoSKQ
@@ -231,7 +243,10 @@ class IrTree {
   /// Appends to `out` every object inside the closed disk whose keyword set
   /// intersects `query_terms`. With a non-empty delta, frozen-base matches
   /// come first (traversal order), then delta matches in ascending id order
-  /// — the set is exact; callers treat it as unordered.
+  /// — the set is exact; callers treat it as unordered. On a frozen tree a
+  /// selective call is answered from the posting file instead of the tree
+  /// walk, with the identical output in the identical order (DESIGN.md
+  /// §11); calls that ask for a visit log always walk the tree.
   void RangeRelevant(const Circle& circle, const TermSet& query_terms,
                      std::vector<ObjectId>* out) const;
 
@@ -297,6 +312,25 @@ class IrTree {
     ReadGuard guard_;
     std::unique_ptr<Impl> impl_;
   };
+
+  /// One live object carrying some of a keyword list (see KeywordMatches).
+  struct KeywordMatch {
+    ObjectId id = kInvalidObjectId;
+    Point location;
+    uint64_t mask = 0;
+  };
+
+  /// Every live object (frozen base minus tombstones, plus delta inserts)
+  /// whose keyword set contains at least one term of `term_bits`, ascending
+  /// by id. For each (t, b) pair (b < 64) the object's mask has bit b set
+  /// iff it contains t. On a frozen tree this reads the posting runs of the
+  /// listed terms only; a never-frozen tree runs a whole-plane
+  /// RangeRelevant.
+  void KeywordMatches(const std::vector<std::pair<TermId, int>>& term_bits,
+                      std::vector<KeywordMatch>* out) const;
+
+  /// Frozen range-retrieval counters (see RangeRetrievalStats).
+  RangeRetrievalStats range_stats() const;
 
   /// Logical live object count: frozen base − tombstones + delta inserts.
   size_t size() const { return size_.load(std::memory_order_relaxed); }
@@ -405,6 +439,14 @@ class IrTree {
                                  std::vector<ObjectId>* out,
                                  SearchScratch* scratch,
                                  const DeltaTree* delta) const;
+  /// The posting path of both frozen range scans: when the planner prefers
+  /// it, appends the base matches (tombstones dropped) in entry order —
+  /// the tree walk's output — and returns true; otherwise returns false
+  /// and leaves `out` untouched.
+  bool FrozenRangeFromPostings(const Circle& circle,
+                               const TermSet& query_terms,
+                               const DeltaTree* delta,
+                               std::vector<ObjectId>* out) const;
   /// Structural validation of the frozen arrays against the dataset (used
   /// by CheckInvariants for snapshot-loaded trees, and to cross-check the
   /// frozen view against the pointer tree after Freeze()).
@@ -455,6 +497,12 @@ class IrTree {
   /// The published delta overlay; null ⇔ empty. Queries pin it via
   /// shared_ptr under delta_mutex_; mutators replace it copy-on-write.
   mutable std::shared_ptr<const DeltaTree> delta_;
+
+  /// RangeRetrievalStats counters (relaxed; bumped once per frozen call).
+  mutable std::atomic<uint64_t> range_posting_calls_{0};
+  mutable std::atomic<uint64_t> range_posting_entries_{0};
+  mutable std::atomic<uint64_t> range_tree_calls_{0};
+  mutable std::atomic<uint64_t> range_tree_entries_{0};
 
   std::atomic<uint64_t> epoch_{0};
   std::atomic<uint64_t> mutations_applied_{0};

@@ -3,10 +3,11 @@
 // The frozen representation stores the tree as contiguous arrays (see
 // frozen_layout.h): breadth-first node records, structure-of-arrays node
 // MBRs so a parent's per-child MINDIST scan reads four contiguous double
-// ranges, a term arena holding every node summary and leaf object keyword
-// set as sorted spans, and leaf entries (id, location, Bloom signature,
-// keyword span) packed in traversal order so leaf scans never touch the
-// Dataset.
+// ranges, a term arena holding every node summary as a sorted span, leaf
+// entries (id, location, Bloom signature) packed in traversal order so leaf
+// scans never touch the Dataset, and a term-major posting file (ascending
+// leaf-entry indices per term) that answers every leaf-level keyword test
+// and, for selective queries, whole range retrievals.
 //
 // Bit-identity contract: every frozen traversal mirrors its pointer-tree
 // counterpart exactly — same child visit order (BFS slots preserve the
@@ -40,6 +41,7 @@
 namespace coskq {
 
 using internal_index::ActiveKernels;
+using internal_index::BodyCounts;
 using internal_index::BodyLayout;
 using internal_index::FrozenNodeRecord;
 using internal_index::FrozenStore;
@@ -82,8 +84,9 @@ constexpr size_t Align8(size_t n) { return (n + 7) & ~size_t{7}; }
 
 }  // namespace
 
-BodyLayout BodyLayout::Make(FrozenLayout layout, uint32_t num_nodes,
-                            uint32_t num_leaf_entries, uint32_t num_terms) {
+BodyLayout BodyLayout::Make(FrozenLayout layout, const BodyCounts& counts) {
+  const uint32_t num_nodes = counts.num_nodes;
+  const uint32_t num_leaf_entries = counts.num_leaf_entries;
   BodyLayout lay;
   lay.layout = layout;
   size_t off = 0;
@@ -119,15 +122,15 @@ BodyLayout BodyLayout::Make(FrozenLayout layout, uint32_t num_nodes,
     off = groups * kGroupBytes;
   }
   lay.node_region_bytes = off;
-  lay.terms_off = section(size_t{num_terms} * sizeof(TermId));
+  lay.terms_off = section(size_t{counts.num_terms} * sizeof(TermId));
   lay.leaf_ids_off = section(size_t{num_leaf_entries} * sizeof(ObjectId));
   lay.leaf_x_off = section(size_t{num_leaf_entries} * sizeof(double));
   lay.leaf_y_off = section(size_t{num_leaf_entries} * sizeof(double));
   lay.leaf_sigs_off = section(size_t{num_leaf_entries} * sizeof(uint64_t));
-  lay.leaf_term_begin_off =
-      section(size_t{num_leaf_entries} * sizeof(uint32_t));
-  lay.leaf_term_count_off =
-      section(size_t{num_leaf_entries} * sizeof(uint32_t));
+  lay.post_begin_off =
+      section((size_t{counts.num_post_terms} + 1) * sizeof(uint32_t));
+  lay.post_entries_off =
+      section(size_t{counts.num_postings} * sizeof(uint32_t));
   lay.total_bytes = off;
   return lay;
 }
@@ -138,19 +141,15 @@ FrozenStore::~FrozenStore() {
   }
 }
 
-size_t FrozenStore::BodyBytes(FrozenLayout layout, uint32_t num_nodes,
-                              uint32_t num_leaf_entries, uint32_t num_terms) {
-  return BodyLayout::Make(layout, num_nodes, num_leaf_entries, num_terms)
-      .total_bytes;
+size_t FrozenStore::BodyBytes(FrozenLayout layout, const BodyCounts& counts) {
+  return BodyLayout::Make(layout, counts).total_bytes;
 }
 
 void FrozenStore::BindView(FrozenLayout lay_kind, const uint8_t* body_ptr,
-                           uint32_t num_nodes, uint32_t num_leaf_entries,
-                           uint32_t num_terms, uint32_t height) {
+                           const BodyCounts& counts, uint32_t height) {
   COSKQ_CHECK_EQ(reinterpret_cast<uintptr_t>(body_ptr) % 8, 0u)
       << "frozen body must be 8-byte aligned";
-  const BodyLayout lay =
-      BodyLayout::Make(lay_kind, num_nodes, num_leaf_entries, num_terms);
+  const BodyLayout lay = BodyLayout::Make(lay_kind, counts);
   layout = lay_kind;
   body = body_ptr;
   body_bytes = lay.total_bytes;
@@ -169,13 +168,15 @@ void FrozenStore::BindView(FrozenLayout lay_kind, const uint8_t* body_ptr,
   view.leaf_y = reinterpret_cast<const double*>(body_ptr + lay.leaf_y_off);
   view.leaf_sigs =
       reinterpret_cast<const uint64_t*>(body_ptr + lay.leaf_sigs_off);
-  view.leaf_term_begin =
-      reinterpret_cast<const uint32_t*>(body_ptr + lay.leaf_term_begin_off);
-  view.leaf_term_count =
-      reinterpret_cast<const uint32_t*>(body_ptr + lay.leaf_term_count_off);
-  view.num_nodes = num_nodes;
-  view.num_leaf_entries = num_leaf_entries;
-  view.num_terms = num_terms;
+  view.post_begin =
+      reinterpret_cast<const uint32_t*>(body_ptr + lay.post_begin_off);
+  view.post_entries =
+      reinterpret_cast<const uint32_t*>(body_ptr + lay.post_entries_off);
+  view.num_nodes = counts.num_nodes;
+  view.num_leaf_entries = counts.num_leaf_entries;
+  view.num_terms = counts.num_terms;
+  view.num_post_terms = counts.num_post_terms;
+  view.num_postings = counts.num_postings;
   view.height = height;
   view.layout = lay_kind;
 }
@@ -205,8 +206,7 @@ void FrozenStore::MaybeEnforceBudget() {
   // prefix of the node region (the upper levels every traversal re-reads)
   // up to half the budget. Purely advisory — dropped pages refault from the
   // read-only snapshot file, so results are unaffected.
-  const BodyLayout lay = BodyLayout::Make(
-      layout, view.num_nodes, view.num_leaf_entries, view.num_terms);
+  const BodyLayout lay = BodyLayout::Make(layout, counts());
   const size_t keep =
       std::min<size_t>(lay.node_region_bytes, memory_budget_bytes / 2);
   AdviseDontNeed(body + keep, body_bytes - keep);
@@ -283,31 +283,50 @@ void IrTree::Freeze() {
     term_total += n->terms.size();
     if (n->is_leaf) {
       leaf_total += n->objects.size();
-      for (ObjectId id : n->objects) {
-        term_total += dataset_->object(id).keywords.size();
-      }
     }
     COSKQ_CHECK_LE(n->EntryCount(), size_t{65535})
         << "fan-out exceeds FrozenNodeRecord::entry_count";
   }
-  COSKQ_CHECK_LE(order.size(),
-                 size_t{std::numeric_limits<uint32_t>::max()});
-  COSKQ_CHECK_LE(term_total, uint64_t{std::numeric_limits<uint32_t>::max()});
-  const uint32_t num_nodes = static_cast<uint32_t>(order.size());
-  const uint32_t num_leaf_entries = static_cast<uint32_t>(leaf_total);
-  const uint32_t num_terms = static_cast<uint32_t>(term_total);
+  // Document frequencies, counted in id order (sequential over the
+  // dataset): obj_sigs_ is non-zero exactly for the tree's objects that
+  // carry keywords. The layout pass below then fills each term's run in
+  // leaf-entry order, so runs come out ascending with no sort.
+  uint64_t posting_total = 0;
+  std::vector<uint32_t> post_cursor;  // df per term, then fill cursors
+  for (ObjectId id = 0; id < obj_sigs_.size(); ++id) {
+    if (obj_sigs_[id] == 0) {
+      continue;
+    }
+    const TermSet& keywords = dataset_->object(id).keywords;
+    posting_total += keywords.size();
+    if (keywords.back() >= post_cursor.size()) {
+      post_cursor.resize(size_t{keywords.back()} + 1, 0);
+    }
+    for (TermId t : keywords) {
+      ++post_cursor[t];
+    }
+  }
+  constexpr uint64_t kMax32 = std::numeric_limits<uint32_t>::max();
+  COSKQ_CHECK_LE(uint64_t{order.size()}, kMax32);
+  COSKQ_CHECK_LE(term_total, kMax32);
+  COSKQ_CHECK_LE(posting_total, kMax32);
+  COSKQ_CHECK_LT(uint64_t{post_cursor.size()}, kMax32);
+  BodyCounts counts;
+  counts.num_nodes = static_cast<uint32_t>(order.size());
+  counts.num_leaf_entries = static_cast<uint32_t>(leaf_total);
+  counts.num_terms = static_cast<uint32_t>(term_total);
+  counts.num_post_terms = static_cast<uint32_t>(post_cursor.size());
+  counts.num_postings = static_cast<uint32_t>(posting_total);
+  const uint32_t num_nodes = counts.num_nodes;
 
   const FrozenLayout layout = options_.frozen_layout;
   auto store = std::make_unique<FrozenStore>();
   // Zero-filled so section padding bytes (and the level-grouped tail group)
   // are deterministic: snapshots of the same tree are byte-for-byte
   // identical.
-  store->owned.assign(
-      FrozenStore::BodyBytes(layout, num_nodes, num_leaf_entries, num_terms),
-      0);
+  store->owned.assign(FrozenStore::BodyBytes(layout, counts), 0);
   uint8_t* body = store->owned.data();
-  const BodyLayout lay =
-      BodyLayout::Make(layout, num_nodes, num_leaf_entries, num_terms);
+  const BodyLayout lay = BodyLayout::Make(layout, counts);
   // Mutable mirrors of the FrozenView lane accessors.
   const auto rec_at = [&](uint32_t slot) -> FrozenNodeRecord* {
     return reinterpret_cast<FrozenNodeRecord*>(
@@ -326,10 +345,17 @@ void IrTree::Freeze() {
   auto* leaf_x = reinterpret_cast<double*>(body + lay.leaf_x_off);
   auto* leaf_y = reinterpret_cast<double*>(body + lay.leaf_y_off);
   auto* leaf_sigs = reinterpret_cast<uint64_t*>(body + lay.leaf_sigs_off);
-  auto* leaf_term_begin =
-      reinterpret_cast<uint32_t*>(body + lay.leaf_term_begin_off);
-  auto* leaf_term_count =
-      reinterpret_cast<uint32_t*>(body + lay.leaf_term_count_off);
+  auto* post_begin = reinterpret_cast<uint32_t*>(body + lay.post_begin_off);
+  auto* post_entries =
+      reinterpret_cast<uint32_t*>(body + lay.post_entries_off);
+  // df counts -> run starts (post_begin) and per-term fill cursors.
+  uint32_t run_start = 0;
+  for (uint32_t t = 0; t < counts.num_post_terms; ++t) {
+    post_begin[t] = run_start;
+    run_start += post_cursor[t];
+    post_cursor[t] = post_begin[t];
+  }
+  post_begin[counts.num_post_terms] = run_start;
 
   uint32_t next_child = 1;
   uint32_t next_term = 0;
@@ -357,12 +383,12 @@ void IrTree::Freeze() {
         leaf_x[next_leaf] = obj.location.x;
         leaf_y[next_leaf] = obj.location.y;
         leaf_sigs[next_leaf] = obj_sigs_[id];
-        leaf_term_begin[next_leaf] = next_term;
-        leaf_term_count[next_leaf] =
-            static_cast<uint32_t>(obj.keywords.size());
-        std::copy(obj.keywords.begin(), obj.keywords.end(),
-                  terms + next_term);
-        next_term += static_cast<uint32_t>(obj.keywords.size());
+        for (TermId t : obj.keywords) {
+          // Holds unless an object sits in two leaves (the unchecked
+          // pointer-tree insert path): then df, counted per object, is short.
+          COSKQ_CHECK_LT(post_cursor[t], post_begin[t + 1]);
+          post_entries[post_cursor[t]++] = next_leaf;
+        }
         ++next_leaf;
       }
     } else {
@@ -373,11 +399,10 @@ void IrTree::Freeze() {
     *rec_at(slot) = rec;
   }
   COSKQ_CHECK_EQ(next_child, num_nodes);
-  COSKQ_CHECK_EQ(next_term, num_terms);
-  COSKQ_CHECK_EQ(next_leaf, num_leaf_entries);
+  COSKQ_CHECK_EQ(next_term, counts.num_terms);
+  COSKQ_CHECK_EQ(next_leaf, counts.num_leaf_entries);
 
-  store->BindView(layout, body, num_nodes, num_leaf_entries, num_terms,
-                  static_cast<uint32_t>(Height()));
+  store->BindView(layout, body, counts, static_cast<uint32_t>(Height()));
   frozen_ = std::move(store);
   RebuildFrozenLive();
 }
@@ -573,18 +598,17 @@ ObjectId IrTree::FrozenKeywordNn(const Point& p, TermId t, double* distance,
       visit_log->push_back(node.id);
     }
     if (node.is_leaf()) {
-      const uint32_t begin = node.entry_begin;
-      const uint32_t end = begin + node.entry_count;
-      for (uint32_t e = begin; e < end; ++e) {
+      // The leaf's run of t: exactly the entries carrying t, ascending —
+      // the survivors of the per-entry keyword test, in scan order.
+      auto [first, last] =
+          v.LeafRun(t, node.entry_begin, node.entry_begin + node.entry_count);
+      for (; first != last; ++first) {
+        const uint32_t e = *first;
         if (delta != nullptr && delta->IsTombstoned(v.leaf_ids[e])) {
           continue;
         }
-        if (TermSpanContains(v.terms + v.leaf_term_begin[e],
-                             v.leaf_term_count[e], t)) {
-          queue.push(QueueEntry{
-              Distance(p, Point{v.leaf_x[e], v.leaf_y[e]}), nullptr,
-              v.leaf_ids[e]});
-        }
+        queue.push(QueueEntry{Distance(p, Point{v.leaf_x[e], v.leaf_y[e]}),
+                              nullptr, v.leaf_ids[e]});
       }
     } else {
       const uint32_t first = node.first_child;
@@ -662,37 +686,21 @@ ObjectId IrTree::FrozenKeywordNnMasked(const Point& p, TermId t, int slot,
       visit_log->push_back(node.id);
     }
     if (node.is_leaf()) {
-      const uint32_t begin = node.entry_begin;
-      const uint32_t count = node.entry_count;
-      // Vectorized signature pass over the contiguous leaf_sigs stripe; the
-      // survivors are exactly the entries the scalar `continue` kept, in
-      // the same order, so the exact-filter loop below is unchanged.
-      std::vector<uint32_t>& sidx = scratch->survivor_idx();
-      if (sidx.size() < count) {
-        sidx.resize(count);
-      }
-      const uint32_t n =
-          kernels.sig_any_filter(v.leaf_sigs + begin, count, kw_sig,
-                                 sidx.data());
-      for (uint32_t k = 0; k < n; ++k) {
-        const uint32_t e = begin + sidx[k];
+      // The leaf's run of t holds exactly the entries whose signature,
+      // cached mask and keyword tests all pass, in scan order, so the
+      // QueryDistance memo sees the same calls as an entry-by-entry scan.
+      auto [first, last] =
+          v.LeafRun(t, node.entry_begin, node.entry_begin + node.entry_count);
+      for (; first != last; ++first) {
+        const uint32_t e = *first;
         const ObjectId id = v.leaf_ids[e];
         if (delta != nullptr && delta->IsTombstoned(id)) {
           continue;
         }
-        uint64_t obj_mask = 0;
-        const bool contains =
-            scratch->CachedObjectMask(id, &obj_mask)
-                ? (obj_mask & bit) != 0
-                : TermSpanContains(v.terms + v.leaf_term_begin[e],
-                                   v.leaf_term_count[e], t);
-        if (contains) {
-          const Point location{v.leaf_x[e], v.leaf_y[e]};
-          const double d = from_origin
-                               ? scratch->QueryDistance(id, location)
-                               : Distance(p, location);
-          push(HeapEntry{d, nullptr, id});
-        }
+        const Point location{v.leaf_x[e], v.leaf_y[e]};
+        const double d = from_origin ? scratch->QueryDistance(id, location)
+                                     : Distance(p, location);
+        push(HeapEntry{d, nullptr, id});
       }
     } else {
       const uint32_t first = node.first_child;
@@ -737,12 +745,133 @@ ObjectId IrTree::FrozenKeywordNnMasked(const Point& p, TermId t, int slot,
   return kInvalidObjectId;
 }
 
+namespace {
+
+/// Range-retrieval planner constant (DESIGN.md §11): a frozen range call
+/// reads the query terms' posting runs instead of walking the tree when
+/// their total length Σ df is below this multiple of the leaf entries
+/// expected inside the disk. Fixed by the measurement recorded in
+/// CHANGES.md.
+constexpr double kPostingScanFactor = 0.25;
+
+/// Leaf entries expected inside `circle` under uniform density: the base's
+/// entry count scaled by the share of the root MBR the disk covers (the
+/// disk's area, capped by its bounding square clipped to the MBR). Only the
+/// planner reads it.
+double EstimatedEntriesInDisk(const FrozenView& v, const Circle& circle) {
+  const double r = circle.radius;
+  const double w = std::min(circle.center.x + r, v.max_x(0)) -
+                   std::max(circle.center.x - r, v.min_x(0));
+  const double h = std::min(circle.center.y + r, v.max_y(0)) -
+                   std::max(circle.center.y - r, v.min_y(0));
+  if (w < 0.0 || h < 0.0) {
+    return 0.0;
+  }
+  const double root_area =
+      (v.max_x(0) - v.min_x(0)) * (v.max_y(0) - v.min_y(0));
+  const double entries = static_cast<double>(v.num_leaf_entries);
+  if (!(root_area > 0.0)) {
+    return entries;  // Degenerate MBR: no area to scale by.
+  }
+  constexpr double kPi = 3.14159265358979323846;
+  return entries * std::min(w * h, kPi * r * r) / root_area;
+}
+
+/// The planner: true when Σ_{t∈terms} df(t) < kPostingScanFactor × the
+/// expected in-disk entry count.
+bool PostingsCheaperThanTree(const FrozenView& v, const Circle& circle,
+                             const TermSet& terms) {
+  const double budget =
+      kPostingScanFactor * EstimatedEntriesInDisk(v, circle);
+  double total = 0.0;
+  for (TermId t : terms) {
+    total += v.df(t);
+    if (!(total < budget)) {
+      return false;
+    }
+  }
+  return total < budget;
+}
+
+/// Leaf-level step of a frozen range walk: appends the ids of the leaf's
+/// live entries inside the disk that carry a query term, in entry order.
+void RangeScanLeaf(const FrozenView& v, const FrozenNodeRecord& leaf,
+                   const Circle& circle, const TermSet& terms,
+                   const DeltaTree* delta, std::vector<ObjectId>* out) {
+  const uint32_t begin = leaf.entry_begin;
+  const uint32_t end = begin + leaf.entry_count;
+  internal_index::ForEachLeafMatch(
+      terms.size(), begin, end,
+      [&](size_t i) { return v.LeafRun(terms[i], begin, end); },
+      [&](uint32_t e) {
+        const ObjectId id = v.leaf_ids[e];
+        if (delta != nullptr && delta->IsTombstoned(id)) {
+          return;
+        }
+        if (circle.Contains(Point{v.leaf_x[e], v.leaf_y[e]})) {
+          out->push_back(id);
+        }
+      });
+}
+
+}  // namespace
+
+bool IrTree::FrozenRangeFromPostings(const Circle& circle,
+                                     const TermSet& query_terms,
+                                     const DeltaTree* delta,
+                                     std::vector<ObjectId>* out) const {
+  const FrozenView& v = frozen_->view;
+  if (!PostingsCheaperThanTree(v, circle, query_terms)) {
+    return false;
+  }
+  uint64_t examined = 0;
+  // The tree walk starts by testing the disk against the root MBR; a disk
+  // that fails it (e.g. a negative radius) has no matches either way.
+  const Rect root{v.min_x(0), v.min_y(0), v.max_x(0), v.max_y(0)};
+  if (circle.Intersects(root)) {
+    // Entry indices are collected in `out`'s tail, put in entry order —
+    // the tree walk's output order — and mapped to ids in place.
+    const size_t start = out->size();
+    for (TermId t : query_terms) {
+      const auto [first, last] = v.postings(t);
+      examined += static_cast<uint64_t>(last - first);
+      for (const uint32_t* p = first; p != last; ++p) {
+        if (circle.Contains(Point{v.leaf_x[*p], v.leaf_y[*p]})) {
+          out->push_back(*p);
+        }
+      }
+    }
+    const auto tail = out->begin() + static_cast<ptrdiff_t>(start);
+    if (query_terms.size() > 1) {
+      std::sort(tail, out->end());
+      out->erase(std::unique(tail, out->end()), out->end());
+    }
+    auto kept = tail;
+    for (auto it = tail; it != out->end(); ++it) {
+      const ObjectId id = v.leaf_ids[*it];
+      if (delta == nullptr || !delta->IsTombstoned(id)) {
+        *kept++ = id;
+      }
+    }
+    out->erase(kept, out->end());
+  }
+  range_posting_calls_.fetch_add(1, std::memory_order_relaxed);
+  range_posting_entries_.fetch_add(examined, std::memory_order_relaxed);
+  return true;
+}
+
 void IrTree::FrozenRangeRelevant(const Circle& circle,
                                  const TermSet& query_terms,
                                  std::vector<ObjectId>* out,
                                  std::vector<uint32_t>* visit_log,
                                  const DeltaTree* delta) const {
   if (frozen_->view.num_leaf_entries == 0) {
+    return;
+  }
+  // Calls that log node visits keep the tree walk: the visit log is the
+  // tree's observable, and the diff suites compare it.
+  if (visit_log == nullptr &&
+      FrozenRangeFromPostings(circle, query_terms, delta, out)) {
     return;
   }
   const FrozenView& v = frozen_->view;
@@ -753,6 +882,7 @@ void IrTree::FrozenRangeRelevant(const Circle& circle,
     const DeltaTree* delta;
     std::vector<ObjectId>* out;
     std::vector<uint32_t>* visit_log;
+    uint64_t examined = 0;
 
     void Run(uint32_t slot) {
       const FrozenNodeRecord& node = v.node(slot);
@@ -767,18 +897,8 @@ void IrTree::FrozenRangeRelevant(const Circle& circle,
         visit_log->push_back(node.id);
       }
       if (node.is_leaf()) {
-        const uint32_t begin = node.entry_begin;
-        const uint32_t end = begin + node.entry_count;
-        for (uint32_t e = begin; e < end; ++e) {
-          if (delta != nullptr && delta->IsTombstoned(v.leaf_ids[e])) {
-            continue;
-          }
-          if (circle.Contains(Point{v.leaf_x[e], v.leaf_y[e]}) &&
-              TermSpanIntersects(v.terms + v.leaf_term_begin[e],
-                                 v.leaf_term_count[e], query_terms)) {
-            out->push_back(v.leaf_ids[e]);
-          }
-        }
+        examined += node.entry_count;
+        RangeScanLeaf(v, node, circle, query_terms, delta, out);
         return;
       }
       const uint32_t first = node.first_child;
@@ -790,6 +910,8 @@ void IrTree::FrozenRangeRelevant(const Circle& circle,
   };
   Searcher searcher{v, circle, query_terms, delta, out, visit_log};
   searcher.Run(0);
+  range_tree_calls_.fetch_add(1, std::memory_order_relaxed);
+  range_tree_entries_.fetch_add(searcher.examined, std::memory_order_relaxed);
 }
 
 void IrTree::FrozenRangeRelevantMasked(const Circle& circle,
@@ -801,11 +923,14 @@ void IrTree::FrozenRangeRelevantMasked(const Circle& circle,
   if (frozen_->view.num_leaf_entries == 0) {
     return;
   }
+  if (scratch->visit_log() == nullptr &&
+      FrozenRangeFromPostings(circle, query_terms, delta, out)) {
+    return;
+  }
   const FrozenView& v = frozen_->view;
   const uint64_t sub_sig = TermSetSignature(query_terms);
   struct Searcher {
     const FrozenView& v;
-    const KernelOps& kernels;
     const Circle& circle;
     const TermSet& query_terms;
     uint64_t submask;
@@ -814,6 +939,7 @@ void IrTree::FrozenRangeRelevantMasked(const Circle& circle,
     const DeltaTree* delta;
     std::vector<ObjectId>* out;
     std::vector<uint32_t>* visit_log;
+    uint64_t examined = 0;
 
     void Run(uint32_t slot) {
       const FrozenNodeRecord& node = v.node(slot);
@@ -838,37 +964,10 @@ void IrTree::FrozenRangeRelevantMasked(const Circle& circle,
         visit_log->push_back(node.id);
       }
       if (node.is_leaf()) {
-        const uint32_t begin = node.entry_begin;
-        const uint32_t count = node.entry_count;
-        // Vectorized signature pass first (the scalar loop tested geometry
-        // first): both predicates are pure and the result is their
-        // conjunction, so hoisting the signature filter keeps the output —
-        // and the visit log, which records nodes only — unchanged.
-        std::vector<uint32_t>& sidx = scratch->survivor_idx();
-        if (sidx.size() < count) {
-          sidx.resize(count);
-        }
-        const uint32_t n = kernels.sig_any_filter(v.leaf_sigs + begin, count,
-                                                  sub_sig, sidx.data());
-        for (uint32_t k = 0; k < n; ++k) {
-          const uint32_t e = begin + sidx[k];
-          const ObjectId id = v.leaf_ids[e];
-          if (delta != nullptr && delta->IsTombstoned(id)) {
-            continue;
-          }
-          if (!circle.Contains(Point{v.leaf_x[e], v.leaf_y[e]})) {
-            continue;
-          }
-          uint64_t obj_mask = 0;
-          const bool obj_relevant =
-              scratch->CachedObjectMask(id, &obj_mask)
-                  ? (obj_mask & submask) != 0
-                  : TermSpanIntersects(v.terms + v.leaf_term_begin[e],
-                                       v.leaf_term_count[e], query_terms);
-          if (obj_relevant) {
-            out->push_back(id);
-          }
-        }
+        // The union of the leaf runs is exactly the set the per-entry
+        // signature + mask/keyword tests kept, in entry order.
+        examined += node.entry_count;
+        RangeScanLeaf(v, node, circle, query_terms, delta, out);
         return;
       }
       const uint32_t first = node.first_child;
@@ -878,10 +977,11 @@ void IrTree::FrozenRangeRelevantMasked(const Circle& circle,
       }
     }
   };
-  Searcher searcher{v,       ActiveKernels(), circle, query_terms,
-                    submask, sub_sig,         scratch, delta,
-                    out,     scratch->visit_log()};
+  Searcher searcher{v,       circle,  query_terms, submask, sub_sig,
+                    scratch, delta,   out,         scratch->visit_log()};
   searcher.Run(0);
+  range_tree_calls_.fetch_add(1, std::memory_order_relaxed);
+  range_tree_entries_.fetch_add(searcher.examined, std::memory_order_relaxed);
 }
 
 void IrTree::CheckFrozenInvariants() const {
@@ -954,11 +1054,6 @@ void IrTree::CheckFrozenInvariants() const {
         COSKQ_CHECK_EQ(v.leaf_x[e], obj.location.x);
         COSKQ_CHECK_EQ(v.leaf_y[e], obj.location.y);
         COSKQ_CHECK_EQ(v.leaf_sigs[e], TermSetSignature(obj.keywords));
-        COSKQ_CHECK_EQ(static_cast<size_t>(v.leaf_term_count[e]),
-                       obj.keywords.size());
-        COSKQ_CHECK(std::equal(obj.keywords.begin(), obj.keywords.end(),
-                               v.terms + v.leaf_term_begin[e]))
-            << "leaf keyword span mismatch";
         mbr.ExpandToInclude(obj.location);
         TermSetMergeInto(&terms, obj.keywords);
       }
@@ -979,6 +1074,36 @@ void IrTree::CheckFrozenInvariants() const {
     expected_mbr[i] = mbr;
     expected_terms[i] = std::move(terms);
   }
+
+  // Pass 3: the posting file is the transpose of the leaf entries' keyword
+  // sets. Runs are strictly ascending and in range, every (entry, keyword)
+  // pair is found in its term's run, and the run lengths add up to the
+  // number of such pairs — so the runs hold those pairs and nothing else.
+  COSKQ_CHECK_EQ(v.post_begin[0], 0u);
+  COSKQ_CHECK_EQ(v.post_begin[v.num_post_terms], v.num_postings);
+  for (uint32_t t = 0; t < v.num_post_terms; ++t) {
+    COSKQ_CHECK_LE(v.post_begin[t], v.post_begin[t + 1]);
+    const auto [first, last] = v.postings(t);
+    for (const uint32_t* p = first; p != last; ++p) {
+      COSKQ_CHECK_LT(*p, v.num_leaf_entries) << "posting out of range";
+      COSKQ_CHECK(p == first || p[-1] < *p) << "posting run not ascending";
+    }
+  }
+  uint64_t keyword_pairs = 0;
+  TermId max_term = 0;
+  for (uint32_t e = 0; e < v.num_leaf_entries; ++e) {
+    const TermSet& keywords = dataset_->object(v.leaf_ids[e]).keywords;
+    keyword_pairs += keywords.size();
+    for (TermId t : keywords) {
+      max_term = std::max(max_term, t);
+      const auto [first, last] = v.postings(t);
+      COSKQ_CHECK(std::binary_search(first, last, e))
+          << "entry " << e << " missing from the postings of term " << t;
+    }
+  }
+  COSKQ_CHECK_EQ(keyword_pairs, uint64_t{v.num_postings});
+  COSKQ_CHECK_EQ(v.num_post_terms, keyword_pairs == 0 ? 0u : max_term + 1)
+      << "posting file not sized to the largest term";
 
   // Cross-check against the pointer tree when both representations exist.
   if (root_ != nullptr) {

@@ -85,23 +85,10 @@ uint32_t ScalarChildScanSig(const double* min_x, const double* min_y,
   return survivors;
 }
 
-COSKQ_NO_AUTOVEC
-uint32_t ScalarSigAnyFilter(const uint64_t* sigs, uint32_t count,
-                            uint64_t query_sig, uint32_t* out_idx) {
-  uint32_t survivors = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    if ((sigs[i] & query_sig) != 0) {
-      out_idx[survivors++] = i;
-    }
-  }
-  return survivors;
-}
-
 constexpr KernelOps kScalarOps = {
     "scalar",
     &ScalarChildSquaredDistances,
     &ScalarChildScanSig,
-    &ScalarSigAnyFilter,
 };
 
 #if COSKQ_KERNELS_X86
@@ -191,41 +178,10 @@ __attribute__((target("sse2"))) uint32_t Sse2ChildScanSig(
   return survivors;
 }
 
-__attribute__((target("sse2"))) uint32_t Sse2SigAnyFilter(const uint64_t* sigs,
-                                                          uint32_t count,
-                                                          uint64_t query_sig,
-                                                          uint32_t* out_idx) {
-  const __m128i vq = _mm_set1_epi64x(static_cast<int64_t>(query_sig));
-  uint32_t survivors = 0;
-  uint32_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const __m128i v = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(sigs + i));
-    const __m128i hit = _mm_and_si128(v, vq);
-    // SSE2 has no 64-bit integer compare (pcmpeqq is SSE4.1), so spill the
-    // two AND results and test the lanes directly.
-    alignas(16) uint64_t lanes[2];
-    _mm_store_si128(reinterpret_cast<__m128i*>(lanes), hit);
-    if (lanes[0] != 0) {
-      out_idx[survivors++] = i;
-    }
-    if (lanes[1] != 0) {
-      out_idx[survivors++] = i + 1;
-    }
-  }
-  for (; i < count; ++i) {
-    if ((sigs[i] & query_sig) != 0) {
-      out_idx[survivors++] = i;
-    }
-  }
-  return survivors;
-}
-
 constexpr KernelOps kSse2Ops = {
     "sse2",
     &Sse2ChildSquaredDistances,
     &Sse2ChildScanSig,
-    &Sse2SigAnyFilter,
 };
 
 // ---------------------------------------------------------------------------
@@ -312,40 +268,10 @@ __attribute__((target("avx2"))) uint32_t Avx2ChildScanSig(
   return survivors;
 }
 
-__attribute__((target("avx2"))) uint32_t Avx2SigAnyFilter(
-    const uint64_t* sigs, uint32_t count, uint64_t query_sig,
-    uint32_t* out_idx) {
-  const __m256i vq = _mm256_set1_epi64x(static_cast<int64_t>(query_sig));
-  const __m256i zero = _mm256_setzero_si256();
-  uint32_t survivors = 0;
-  uint32_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(sigs + i));
-    const __m256i is_zero = _mm256_cmpeq_epi64(_mm256_and_si256(v, vq), zero);
-    // One movemask bit per 64-bit lane (via the f64 view); set = pruned.
-    const uint32_t pruned =
-        static_cast<uint32_t>(_mm256_movemask_pd(_mm256_castsi256_pd(is_zero)));
-    uint32_t hits = ~pruned & 0xFu;
-    while (hits != 0) {
-      const uint32_t k = static_cast<uint32_t>(__builtin_ctz(hits));
-      out_idx[survivors++] = i + k;
-      hits &= hits - 1;
-    }
-  }
-  for (; i < count; ++i) {
-    if ((sigs[i] & query_sig) != 0) {
-      out_idx[survivors++] = i;
-    }
-  }
-  return survivors;
-}
-
 constexpr KernelOps kAvx2Ops = {
     "avx2",
     &Avx2ChildSquaredDistances,
     &Avx2ChildScanSig,
-    &Avx2SigAnyFilter,
 };
 
 #endif  // COSKQ_KERNELS_X86

@@ -60,13 +60,6 @@ struct KernelOps {
                              const FrozenNodeRecord* children, uint32_t count,
                              double px, double py, uint64_t query_sig,
                              uint32_t* out_idx, double* out_dist);
-
-  /// Bloom-signature intersection filter over a contiguous run of
-  /// signatures (the frozen leaf-entry `leaf_sigs` stripe): appends every i
-  /// with `(sigs[i] & query_sig) != 0` to out_idx in ascending order and
-  /// returns the survivor count. out_idx must hold `count` entries.
-  uint32_t (*sig_any_filter)(const uint64_t* sigs, uint32_t count,
-                             uint64_t query_sig, uint32_t* out_idx);
 };
 
 /// The process-wide kernel table. First call resolves the choice: a usable
@@ -125,7 +118,7 @@ void ColdPrefetch(const void* p, size_t len);
 
 /// Issues prefetches for the heap entry that will pop next: its node
 /// record, plus the stripe the hint names (child MBR columns for internal
-/// nodes, the signature/location columns for leaves). On a warm body these
+/// nodes, the id/location columns for leaves). On a warm body these
 /// are cache-line software prefetches; on a cold mmap they become
 /// page-granular madvise(MADV_WILLNEED) hints, since a cache-line prefetch
 /// cannot start the disk read a fault would need. Purely advisory —
@@ -140,7 +133,7 @@ inline void PrefetchNextPop(const FrozenView& v, const void* node,
   if (v.cold) {
     ColdPrefetch(node, sizeof(FrozenNodeRecord));
     if (leaf) {
-      ColdPrefetch(v.leaf_sigs + base, kGroupSlots * sizeof(uint64_t));
+      ColdPrefetch(v.leaf_ids + base, kGroupSlots * sizeof(ObjectId));
       ColdPrefetch(v.leaf_x + base, kGroupSlots * sizeof(double));
       ColdPrefetch(v.leaf_y + base, kGroupSlots * sizeof(double));
     } else {
@@ -156,7 +149,7 @@ inline void PrefetchNextPop(const FrozenView& v, const void* node,
   }
   PrefetchForRead(node);
   if (leaf) {
-    PrefetchForRead(v.leaf_sigs + base);
+    PrefetchForRead(v.leaf_ids + base);
     PrefetchForRead(v.leaf_x + base);
     PrefetchForRead(v.leaf_y + base);
   } else {

@@ -1,5 +1,6 @@
 #include "index/snapshot.h"
 
+#include <errno.h>
 #include <fcntl.h>
 #include <string.h>
 #include <sys/mman.h>
@@ -7,7 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <fstream>
+#include <limits>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -42,6 +43,8 @@ class SnapshotAccess {
 
 namespace {
 
+using internal_index::BodyCounts;
+using internal_index::BodyLayout;
 using internal_index::FrozenNodeRecord;
 using internal_index::FrozenStore;
 using internal_index::FrozenView;
@@ -53,7 +56,9 @@ constexpr uint16_t kEndianMarker = 0x0102;
 /// below) and the endian marker lets a reader with the opposite byte order
 /// reject the file instead of misparsing it. The first 48 bytes are exactly
 /// the v1 header; v2 appended `layout` and `reserved` and pads the header
-/// region to 4096 bytes so the body starts page-aligned in the file.
+/// region to 4096 bytes so the body starts page-aligned in the file; v3
+/// appended the posting-file counts. In v3 `num_terms` counts the node
+/// summaries only; in v1/v2 it also counted the object keyword spans.
 struct SnapshotHeader {
   uint32_t magic;
   uint16_t version;
@@ -69,8 +74,11 @@ struct SnapshotHeader {
   // --- v2 fields (absent in v1 files; defaulted on read). ---
   uint32_t layout;
   uint32_t reserved;
+  // --- v3 fields (absent in v1/v2 files, whose bodies carry no postings).
+  uint32_t num_post_terms;
+  uint32_t num_postings;
 };
-static_assert(sizeof(SnapshotHeader) == 56,
+static_assert(sizeof(SnapshotHeader) == 64,
               "snapshot header layout is part of the format");
 static_assert(std::is_trivially_copyable<SnapshotHeader>::value,
               "snapshot header must be memcpy-safe");
@@ -78,11 +86,57 @@ static_assert(std::is_trivially_copyable<SnapshotHeader>::value,
 /// Bytes of the common (v1) header prefix, and the header *region* sizes —
 /// the file offset where the body starts — per version.
 constexpr size_t kV1HeaderBytes = 48;
+constexpr size_t kV2HeaderBytes = 56;
 constexpr size_t kV2HeaderRegionBytes = 4096;
 constexpr size_t kTrailerBytes = sizeof(uint64_t);
 
 constexpr uint64_t HeaderRegionBytes(uint16_t version) {
   return version == 1 ? kV1HeaderBytes : kV2HeaderRegionBytes;
+}
+
+/// Bytes of the header struct a file of `version` carries.
+constexpr size_t HeaderBytes(uint16_t version) {
+  return version == 1   ? kV1HeaderBytes
+         : version == 2 ? kV2HeaderBytes
+                        : sizeof(SnapshotHeader);
+}
+
+constexpr size_t Align8(size_t n) { return (n + 7) & ~size_t{7}; }
+
+/// Body of a v1/v2 file: the current sections up to leaf_sigs (identical
+/// offsets), then per-entry keyword spans (begin, count) into a term arena
+/// that interleaves, slot by slot, each node's summary and — for leaves —
+/// its objects' keyword sets.
+struct LegacyLayout {
+  BodyLayout head;
+  size_t leaf_term_begin_off = 0;
+  size_t leaf_term_count_off = 0;
+  size_t total_bytes = 0;
+};
+
+LegacyLayout MakeLegacyLayout(FrozenLayout layout, uint32_t num_nodes,
+                              uint32_t num_leaf_entries, uint32_t num_terms) {
+  LegacyLayout lay;
+  lay.head = BodyLayout::Make(
+      layout, BodyCounts{num_nodes, num_leaf_entries, num_terms, 0, 0});
+  const size_t span_bytes = Align8(size_t{num_leaf_entries} * sizeof(uint32_t));
+  lay.leaf_term_begin_off = lay.head.post_begin_off;
+  lay.leaf_term_count_off = lay.leaf_term_begin_off + span_bytes;
+  lay.total_bytes = lay.leaf_term_count_off + span_bytes;
+  return lay;
+}
+
+/// The body size a header's counts imply for its version.
+uint64_t ExpectedBodyBytes(const SnapshotHeader& h) {
+  const FrozenLayout layout = static_cast<FrozenLayout>(h.layout);
+  if (h.version < 3) {
+    return MakeLegacyLayout(layout, h.num_nodes, h.num_leaf_entries,
+                            h.num_terms)
+        .total_bytes;
+  }
+  return FrozenStore::BodyBytes(
+      layout, BodyCounts{h.num_nodes, h.num_leaf_entries, h.num_terms,
+                         h.num_post_terms, h.num_postings});
 }
 
 /// Rejects layout ids this build does not know (forward files, corruption).
@@ -195,10 +249,162 @@ Status ValidateStructure(const FrozenView& v, uint32_t num_objects,
     if (v.leaf_ids[e] >= num_objects) {
       return Status::Corruption("snapshot leaf object id out of range");
     }
-    if (uint64_t{v.leaf_term_begin[e]} + v.leaf_term_count[e] > v.num_terms) {
-      return Status::Corruption("snapshot leaf keyword span out of range");
+  }
+  // Posting file: offsets start at 0, never decrease and end at Σ df; every
+  // entry names a leaf entry; every run is strictly ascending (the leaf-run
+  // binary searches rely on it).
+  if (v.post_begin[0] != 0 ||
+      v.post_begin[v.num_post_terms] != v.num_postings) {
+    return Status::Corruption("snapshot posting offsets do not span Σdf");
+  }
+  for (uint32_t t = 0; t < v.num_post_terms; ++t) {
+    if (v.post_begin[t + 1] < v.post_begin[t] ||
+        v.post_begin[t + 1] > v.num_postings) {
+      return Status::Corruption("snapshot posting offsets not monotone");
+    }
+    const auto [first, last] = v.postings(t);
+    for (const uint32_t* p = first; p != last; ++p) {
+      if (*p >= v.num_leaf_entries) {
+        return Status::Corruption("snapshot posting entry out of range");
+      }
+      if (p != first && p[-1] >= *p) {
+        return Status::Corruption("snapshot posting run not ascending");
+      }
     }
   }
+  return Status::OK();
+}
+
+/// Fills a posting file from per-entry keyword sets: post_begin[t] ..
+/// post_begin[t + 1] is the run of leaf-entry indices whose keyword set
+/// contains t, ascending. `keywords(e)` returns entry e's sorted keyword
+/// set as a (pointer, count) pair; every id must be < num_post_terms. One
+/// counting pass, a prefix sum, then one ascending fill pass.
+template <typename KeywordsOf>
+void FillPostings(uint32_t num_leaf_entries, uint32_t num_post_terms,
+                  KeywordsOf keywords, uint32_t* post_begin,
+                  uint32_t* post_entries) {
+  std::vector<uint32_t> cursor(size_t{num_post_terms} + 1, 0);
+  for (uint32_t e = 0; e < num_leaf_entries; ++e) {
+    const auto [terms, count] = keywords(e);
+    for (size_t i = 0; i < count; ++i) {
+      ++cursor[terms[i] + 1];
+    }
+  }
+  for (uint32_t t = 0; t < num_post_terms; ++t) {
+    cursor[t + 1] += cursor[t];
+  }
+  std::copy(cursor.begin(), cursor.end(), post_begin);
+  for (uint32_t e = 0; e < num_leaf_entries; ++e) {
+    const auto [terms, count] = keywords(e);
+    for (size_t i = 0; i < count; ++i) {
+      post_entries[cursor[terms[i]]++] = e;
+    }
+  }
+}
+
+/// Rebuilds a v1/v2 body (at `old_body`, already checksum-verified) as a
+/// current body in `store`: node summaries are compacted into the term
+/// arena in slot order and the objects' keyword spans are transposed into
+/// the posting file — byte for byte what Freeze() writes for the same
+/// tree. Every span is range-checked before it is read; `vocab_size` bounds
+/// the term ids (the file is bound to the dataset by checksum, so every
+/// keyword id is one of its terms).
+Status ConvertLegacyBody(const SnapshotHeader& header, const uint8_t* old_body,
+                         size_t vocab_size, FrozenStore* store) {
+  const FrozenLayout layout = static_cast<FrozenLayout>(header.layout);
+  const LegacyLayout old = MakeLegacyLayout(
+      layout, header.num_nodes, header.num_leaf_entries, header.num_terms);
+  const BodyLayout& head = old.head;
+  const auto old_rec = [&](uint32_t slot) {
+    FrozenNodeRecord rec;
+    memcpy(&rec,
+           old_body + head.rec_off +
+               static_cast<size_t>(slot >> internal_index::kGroupShift) *
+                   head.rec_stride +
+               static_cast<size_t>(slot & internal_index::kGroupMask) *
+                   sizeof(FrozenNodeRecord),
+           sizeof(rec));
+    return rec;
+  };
+  const auto* old_terms =
+      reinterpret_cast<const TermId*>(old_body + head.terms_off);
+  const auto* span_begin =
+      reinterpret_cast<const uint32_t*>(old_body + old.leaf_term_begin_off);
+  const auto* span_count =
+      reinterpret_cast<const uint32_t*>(old_body + old.leaf_term_count_off);
+
+  constexpr uint64_t kMax32 = std::numeric_limits<uint32_t>::max();
+  BodyCounts counts;
+  counts.num_nodes = header.num_nodes;
+  counts.num_leaf_entries = header.num_leaf_entries;
+  uint64_t summary_terms = 0;
+  for (uint32_t slot = 0; slot < header.num_nodes; ++slot) {
+    const FrozenNodeRecord rec = old_rec(slot);
+    if (uint64_t{rec.term_begin} + rec.term_count > header.num_terms) {
+      return Status::Corruption("snapshot term span out of range");
+    }
+    summary_terms += rec.term_count;
+  }
+  uint64_t postings = 0;
+  uint64_t post_terms = 0;
+  for (uint32_t e = 0; e < header.num_leaf_entries; ++e) {
+    if (uint64_t{span_begin[e]} + span_count[e] > header.num_terms) {
+      return Status::Corruption("snapshot leaf keyword span out of range");
+    }
+    postings += span_count[e];
+    for (uint32_t i = 0; i < span_count[e]; ++i) {
+      const TermId t = old_terms[span_begin[e] + i];
+      if (t >= vocab_size) {
+        return Status::Corruption("snapshot keyword id out of range");
+      }
+      post_terms = std::max<uint64_t>(post_terms, uint64_t{t} + 1);
+    }
+  }
+  if (summary_terms > kMax32 || postings > kMax32) {
+    return Status::Corruption("snapshot keyword spans overflow");
+  }
+  counts.num_terms = static_cast<uint32_t>(summary_terms);
+  counts.num_post_terms = static_cast<uint32_t>(post_terms);
+  counts.num_postings = static_cast<uint32_t>(postings);
+
+  const BodyLayout lay = BodyLayout::Make(layout, counts);
+  std::vector<uint8_t> body(lay.total_bytes, 0);
+  memcpy(body.data(), old_body, head.node_region_bytes);
+  auto* terms = reinterpret_cast<TermId*>(body.data() + lay.terms_off);
+  uint32_t next_term = 0;
+  for (uint32_t slot = 0; slot < header.num_nodes; ++slot) {
+    FrozenNodeRecord rec = old_rec(slot);
+    std::copy(old_terms + rec.term_begin,
+              old_terms + rec.term_begin + rec.term_count, terms + next_term);
+    rec.term_begin = next_term;
+    next_term += rec.term_count;
+    memcpy(body.data() + lay.rec_off +
+               static_cast<size_t>(slot >> internal_index::kGroupShift) *
+                   lay.rec_stride +
+               static_cast<size_t>(slot & internal_index::kGroupMask) *
+                   sizeof(FrozenNodeRecord),
+           &rec, sizeof(rec));
+  }
+  const size_t n = header.num_leaf_entries;
+  memcpy(body.data() + lay.leaf_ids_off, old_body + head.leaf_ids_off,
+         n * sizeof(ObjectId));
+  memcpy(body.data() + lay.leaf_x_off, old_body + head.leaf_x_off,
+         n * sizeof(double));
+  memcpy(body.data() + lay.leaf_y_off, old_body + head.leaf_y_off,
+         n * sizeof(double));
+  memcpy(body.data() + lay.leaf_sigs_off, old_body + head.leaf_sigs_off,
+         n * sizeof(uint64_t));
+  FillPostings(
+      counts.num_leaf_entries, counts.num_post_terms,
+      [&](uint32_t e) {
+        return std::make_pair(old_terms + span_begin[e],
+                              size_t{span_count[e]});
+      },
+      reinterpret_cast<uint32_t*>(body.data() + lay.post_begin_off),
+      reinterpret_cast<uint32_t*>(body.data() + lay.post_entries_off));
+  store->owned = std::move(body);
+  store->BindView(layout, store->owned.data(), counts, header.height);
   return Status::OK();
 }
 
@@ -211,6 +417,36 @@ struct Fd {
     }
   }
 };
+
+/// write(2) until done; false on any error.
+bool WriteFully(int fd, const uint8_t* data, size_t len) {
+  while (len > 0) {
+    const ssize_t n = write(fd, data, len);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return false;
+    }
+    data += n;
+    len -= static_cast<size_t>(n);
+  }
+  return true;
+}
+
+/// Best-effort fsync of the directory holding `path`, so a completed rename
+/// survives a crash.
+void SyncParentDirectory(const std::string& path) {
+  const size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0              ? "/"
+                                                    : path.substr(0, slash);
+  Fd dfd;
+  dfd.fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dfd.fd >= 0) {
+    (void)fsync(dfd.fd);
+  }
+}
 
 }  // namespace
 
@@ -236,6 +472,8 @@ Status SaveSnapshot(IrTree* tree, const std::string& path) {
   header.height = v.height;
   header.body_bytes = body_bytes;
   header.layout = static_cast<uint32_t>(store->layout);
+  header.num_post_terms = v.num_post_terms;
+  header.num_postings = v.num_postings;
 
   // The whole zero-padded header region participates in the checksum, so a
   // flipped padding byte is still caught.
@@ -247,19 +485,38 @@ Status SaveSnapshot(IrTree* tree, const std::string& path) {
   hasher.Update(body, body_bytes);
   const uint64_t checksum = hasher.Finish();
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError("cannot open for writing: " + path);
+  // Write a private temp file and rename it over the target: the target
+  // path always names either the old complete file or the new one, and a
+  // process that has the old file mapped keeps its (unlinked) inode
+  // instead of seeing it truncated under the mapping. O_EXCL refuses to
+  // reuse a temp file some other writer left behind.
+  const std::string tmp = path + ".tmp." + std::to_string(getpid());
+  Fd out;
+  out.fd = open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+  if (out.fd < 0) {
+    return Status::IoError("cannot create " + tmp + ": " + strerror(errno));
   }
-  out.write(reinterpret_cast<const char*>(region.data()),
-            static_cast<std::streamsize>(region.size()));
-  out.write(reinterpret_cast<const char*>(body),
-            static_cast<std::streamsize>(body_bytes));
-  out.write(reinterpret_cast<const char*>(&checksum), kTrailerBytes);
-  out.flush();
-  if (!out) {
-    return Status::IoError("short write: " + path);
+  const bool written =
+      WriteFully(out.fd, region.data(), region.size()) &&
+      WriteFully(out.fd, body, static_cast<size_t>(body_bytes)) &&
+      WriteFully(out.fd, reinterpret_cast<const uint8_t*>(&checksum),
+                 kTrailerBytes) &&
+      fsync(out.fd) == 0;
+  const int write_errno = errno;
+  close(out.fd);
+  out.fd = -1;
+  if (!written) {
+    unlink(tmp.c_str());
+    return Status::IoError("short write: " + tmp + ": " +
+                           strerror(write_errno));
   }
+  if (rename(tmp.c_str(), path.c_str()) != 0) {
+    const int rename_errno = errno;
+    unlink(tmp.c_str());
+    return Status::IoError("cannot rename " + tmp + " to " + path + ": " +
+                           strerror(rename_errno));
+  }
+  SyncParentDirectory(path);
   return Status::OK();
 }
 
@@ -297,21 +554,22 @@ Status ReadAndCheckFile(const std::string& path, int fd, bool verify_checksum,
     return Status::Corruption(
         "snapshot byte order does not match this host: " + path);
   }
-  if (header.version != 1 && header.version != kSnapshotVersion) {
+  if (header.version < 1 || header.version > kSnapshotVersion) {
     return Status::InvalidArgument(
         "unsupported snapshot version " + std::to_string(header.version) +
         " (expected 1.." + std::to_string(kSnapshotVersion) + "): " + path);
   }
   const uint64_t header_region = HeaderRegionBytes(header.version);
+  const size_t header_bytes = HeaderBytes(header.version);
   if (header.version >= 2) {
     if (file_size < header_region) {
       return Status::Corruption("snapshot truncated (no full header): " +
                                 path);
     }
     n = pread(fd, reinterpret_cast<uint8_t*>(&header) + kV1HeaderBytes,
-              sizeof(SnapshotHeader) - kV1HeaderBytes,
+              header_bytes - kV1HeaderBytes,
               static_cast<off_t>(kV1HeaderBytes));
-    if (n != static_cast<ssize_t>(sizeof(SnapshotHeader) - kV1HeaderBytes)) {
+    if (n != static_cast<ssize_t>(header_bytes - kV1HeaderBytes)) {
       return Status::IoError("cannot read header: " + path);
     }
     const Status layout_ok = CheckLayoutId(header.layout, path);
@@ -322,9 +580,11 @@ Status ReadAndCheckFile(const std::string& path, int fd, bool verify_checksum,
     header.layout = static_cast<uint32_t>(FrozenLayout::kBfs);
     header.reserved = 0;
   }
-  const uint64_t expected_body = FrozenStore::BodyBytes(
-      static_cast<FrozenLayout>(header.layout), header.num_nodes,
-      header.num_leaf_entries, header.num_terms);
+  if (header.version < 3) {
+    header.num_post_terms = 0;
+    header.num_postings = 0;
+  }
+  const uint64_t expected_body = ExpectedBodyBytes(header);
   if (header.body_bytes != expected_body) {
     return Status::Corruption("snapshot body size inconsistent with counts: " +
                               path);
@@ -364,6 +624,8 @@ Status ReadAndCheckFile(const std::string& path, int fd, bool verify_checksum,
     info->num_nodes = header.num_nodes;
     info->num_leaf_entries = header.num_leaf_entries;
     info->num_terms = header.num_terms;
+    info->num_post_terms = header.num_post_terms;
+    info->num_postings = header.num_postings;
     info->height = header.height;
     info->body_bytes = header.body_bytes;
     info->file_bytes = file_size;
@@ -498,8 +760,27 @@ StatusOr<std::unique_ptr<IrTree>> LoadSnapshot(
     }
     body = store->owned.data();
   }
-  store->BindView(layout, body, header.num_nodes, header.num_leaf_entries,
-                  header.num_terms, header.height);
+  if (header.version < 3) {
+    // v1/v2 bodies carry per-entry keyword spans instead of postings:
+    // rebuild them as an owned current body and drop the file.
+    status = ConvertLegacyBody(header, body, dataset->vocabulary().size(),
+                               store.get());
+    if (!status.ok()) {
+      return status;
+    }
+    if (store->mapped != nullptr) {
+      munmap(store->mapped, store->mapped_size);
+      store->mapped = nullptr;
+      store->mapped_size = 0;
+    }
+    body = store->owned.data();
+  } else {
+    store->BindView(layout, body,
+                    BodyCounts{header.num_nodes, header.num_leaf_entries,
+                               header.num_terms, header.num_post_terms,
+                               header.num_postings},
+                    header.height);
+  }
   const bool cold_mapped = cold && store->mapped != nullptr;
   if (cold_mapped) {
     store->view.cold = true;
@@ -517,7 +798,7 @@ StatusOr<std::unique_ptr<IrTree>> LoadSnapshot(
   // The loaded tree adopts the snapshot's layout so Refreeze() preserves it.
   options.frozen_layout = layout;
   const uint8_t* body_ptr = body;
-  const uint64_t body_bytes = header.body_bytes;
+  const uint64_t body_bytes = store->body_bytes;
   auto tree =
       SnapshotAccess::MakeFrozenOnly(dataset, options, std::move(store));
   if (cold_mapped && load_options.drop_page_cache) {

@@ -1100,19 +1100,6 @@ void CoskqServer::WorkerMain() {
   }
 }
 
-const InvertedIndex* CoskqServer::RelevantPostings() {
-  // With live mutations the dataset's raw object storage carries
-  // unpublished placeholder slots and a concurrent appender; postings built
-  // from it would race. The harvest then scans the published range instead.
-  if (options_.enable_mutations) {
-    return nullptr;
-  }
-  std::call_once(postings_once_, [this] {
-    postings_ = std::make_unique<InvertedIndex>(*context_.dataset);
-  });
-  return postings_.get();
-}
-
 std::string CoskqServer::RunRelevant(const Job& job) {
   const Dataset& dataset = *context_.dataset;
   // Resolve the requester's keywords; position in the request is the mask
@@ -1126,52 +1113,21 @@ std::string CoskqServer::RunRelevant(const Job& job) {
     }
   }
 
+  // The index's posting runs of the requested terms (frozen base minus
+  // tombstones, plus delta inserts): O(matches), ids ascending, and never
+  // a read of the dataset's raw object storage, so it is safe against
+  // concurrent appends in mutation mode.
+  std::vector<IrTree::KeywordMatch> matches;
+  context_.index->KeywordMatches(bits, &matches);
   std::vector<RelevantEntry> entries;
-  const InvertedIndex* postings = RelevantPostings();
-  if (postings != nullptr) {
-    // Merge the posting lists: O(matches), and ids come out sorted.
-    std::unordered_map<uint32_t, uint64_t> masks;
-    for (const auto& [t, bit] : bits) {
-      for (const ObjectId id : postings->Postings(t)) {
-        masks[static_cast<uint32_t>(id)] |= uint64_t{1} << bit;
-      }
-    }
-    entries.reserve(masks.size());
-    for (const auto& [id, mask] : masks) {
-      RelevantEntry e;
-      e.object_id = id;
-      const SpatialObject& obj = dataset.object(id);
-      e.x = obj.location.x;
-      e.y = obj.location.y;
-      e.keyword_mask = mask;
-      entries.push_back(e);
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const RelevantEntry& a, const RelevantEntry& b) {
-                return a.object_id < b.object_id;
-              });
-  } else {
-    // Mutation-enabled fallback: scan the published range through the
-    // release-acquire accessors (never the raw vector), so a racing append
-    // is either fully visible or not at all.
-    const size_t n = dataset.NumObjects();
-    for (size_t id = 0; id < n; ++id) {
-      const SpatialObject& obj = dataset.object(id);
-      uint64_t mask = 0;
-      for (const auto& [t, bit] : bits) {
-        if (TermSetContains(obj.keywords, t)) {
-          mask |= uint64_t{1} << bit;
-        }
-      }
-      if (mask != 0) {
-        RelevantEntry e;
-        e.object_id = static_cast<uint32_t>(id);
-        e.x = obj.location.x;
-        e.y = obj.location.y;
-        e.keyword_mask = mask;
-        entries.push_back(e);
-      }
-    }
+  entries.reserve(matches.size());
+  for (const IrTree::KeywordMatch& m : matches) {
+    RelevantEntry e;
+    e.object_id = m.id;
+    e.x = m.location.x;
+    e.y = m.location.y;
+    e.keyword_mask = m.mask;
+    entries.push_back(e);
   }
 
   // Stream the harvest as chunks under the frame payload cap; every chunk

@@ -17,7 +17,6 @@
 #include "cache/result_cache.h"
 #include "core/solver.h"
 #include "data/query.h"
-#include "index/inverted_index.h"
 #include "server/codec.h"
 #include "server/protocol.h"
 #include "util/stats.h"
@@ -230,13 +229,10 @@ class CoskqServer {
   void HandleQuery(uint64_t conn_id, const Frame& frame);
   /// Admits a RELEVANT harvest through the same bounded queue as queries.
   void HandleRelevant(uint64_t conn_id, const Frame& frame);
-  /// Worker-side harvest: every object whose keyword set intersects the
-  /// request keywords, streamed as chunked RELEVANT_REPLY frames.
+  /// Worker-side harvest: every live object whose keyword set intersects
+  /// the request keywords, read from the index's posting file
+  /// (IrTree::KeywordMatches) and streamed as chunked RELEVANT_REPLY frames.
   std::string RunRelevant(const Job& job);
-  /// Lazily builds the posting lists RunRelevant answers from (read-only
-  /// servers only; with live mutations the harvest scans the published
-  /// object range instead, so it never races an append).
-  const InvertedIndex* RelevantPostings();
   /// Applies one MUTATE frame inline on the event-loop thread (the sole
   /// mutator) and acks only after the index update is visible, so a QUERY
   /// issued after the reply observes the mutation.
@@ -260,11 +256,6 @@ class CoskqServer {
   /// internally (per-shard leaf mutexes), shared by the event loop (lookups)
   /// and the workers (inserts).
   std::unique_ptr<ResultCache> result_cache_;
-
-  /// Postings for RELEVANT harvests, built once on first use (workers race
-  /// through the once-flag; never built when mutations are enabled).
-  std::once_flag postings_once_;
-  std::unique_ptr<InvertedIndex> postings_;
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;

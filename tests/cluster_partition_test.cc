@@ -135,10 +135,12 @@ class ClusterBuildTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dataset_ = test::MakeRandomDataset(250, 35, 3.0, 20130625);
-    dir_ = ::testing::TempDir() + "/coskq_cluster_build";
-    // Recreate the directory fresh (TempDir persists across tests).
+    dir_ = test::UniqueTempPath("coskq_cluster_build");
     std::string cmd = "rm -rf '" + dir_ + "' && mkdir -p '" + dir_ + "'";
     ASSERT_EQ(std::system(cmd.c_str()), 0);
+  }
+  void TearDown() override {
+    EXPECT_EQ(std::system(("rm -rf '" + dir_ + "'").c_str()), 0);
   }
 
   Dataset dataset_;
@@ -230,7 +232,7 @@ class ManifestCodecTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dataset_ = test::MakeRandomDataset(60, 20, 2.5, 31337);
-    dir_ = ::testing::TempDir() + "/coskq_manifest_codec";
+    dir_ = test::UniqueTempPath("coskq_manifest_codec");
     std::string cmd = "rm -rf '" + dir_ + "' && mkdir -p '" + dir_ + "'";
     ASSERT_EQ(std::system(cmd.c_str()), 0);
     BuildClusterOptions options;
@@ -240,6 +242,9 @@ class ManifestCodecTest : public ::testing::Test {
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     manifest_ = std::move(*built);
     bytes_ = manifest_.Encode();
+  }
+  void TearDown() override {
+    EXPECT_EQ(std::system(("rm -rf '" + dir_ + "'").c_str()), 0);
   }
 
   Dataset dataset_;

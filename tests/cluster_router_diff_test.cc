@@ -128,7 +128,7 @@ class ClusterRouterDiffTest : public ::testing::Test {
     index_ = std::make_unique<IrTree>(&dataset_);
     context_ = CoskqContext{&dataset_, index_.get()};
 
-    dir_ = ::testing::TempDir() + "/coskq_cluster_router";
+    dir_ = test::UniqueTempPath("coskq_cluster_router");
     std::string cmd = "rm -rf '" + dir_ + "' && mkdir -p '" + dir_ + "'";
     ASSERT_EQ(std::system(cmd.c_str()), 0);
 
@@ -183,6 +183,7 @@ class ClusterRouterDiffTest : public ::testing::Test {
       server->Shutdown();
       server->Wait();
     }
+    EXPECT_EQ(std::system(("rm -rf '" + dir_ + "'").c_str()), 0);
   }
 
   struct QueryPair {
@@ -460,7 +461,7 @@ TEST(ClusterRouterWideKeywordTest, ChunkedHarvestIsBitIdentical) {
   }
   ASSERT_GT(wide_terms.size(), kMaxRelevantKeywords);
 
-  const std::string dir = ::testing::TempDir() + "/coskq_cluster_wide";
+  const std::string dir = test::UniqueTempPath("coskq_cluster_wide");
   const std::string cmd = "rm -rf '" + dir + "' && mkdir -p '" + dir + "'";
   ASSERT_EQ(std::system(cmd.c_str()), 0);
   BuildClusterOptions build;
@@ -546,6 +547,7 @@ TEST(ClusterRouterWideKeywordTest, ChunkedHarvestIsBitIdentical) {
     server->Shutdown();
     server->Wait();
   }
+  EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
 }
 
 // Client churn must never wedge the router: a finished connection is

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <string>
 
+#include "test_util.h"
+
 namespace coskq {
 namespace {
 
@@ -100,7 +102,7 @@ TEST(DatasetTest, ParseRejectsNonFiniteCoordinates) {
 // and the 1-based line number of the offending row (comments and blank
 // lines count toward the numbering; they are how the file is edited).
 TEST(DatasetTest, LoadReportsFileAndLineOfCorruptRow) {
-  const std::string path = ::testing::TempDir() + "/coskq_corrupt.txt";
+  const std::string path = test::UniqueTempPath("coskq_corrupt.txt");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
@@ -129,7 +131,7 @@ TEST(DatasetTest, SaveLoadRoundTrip) {
   Dataset ds;
   ds.AddObject(Point{0.125, 0.25}, {"cafe", "wifi"});
   ds.AddObject(Point{3.5, -1.75}, {"museum"});
-  const std::string path = ::testing::TempDir() + "/coskq_roundtrip.txt";
+  const std::string path = test::UniqueTempPath("coskq_roundtrip.txt");
   ASSERT_TRUE(ds.SaveToFile(path).ok());
   auto loaded = Dataset::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok());

@@ -8,6 +8,7 @@
 
 #include "data/augment.h"
 #include "data/query_gen.h"
+#include "test_util.h"
 #include "util/random.h"
 
 namespace coskq {
@@ -114,13 +115,13 @@ TEST(AugmentTest, StreamedFileMatchesMaterializedAugmentByteForByte) {
   Dataset grown = GenerateSynthetic(spec, &gen_rng);
   Rng aug_rng(8);
   AugmentToSize(&grown, 600, &aug_rng);
-  const std::string want_path = ::testing::TempDir() + "/aug_want.txt";
+  const std::string want_path = test::UniqueTempPath("aug_want.txt");
   ASSERT_TRUE(grown.SaveToFile(want_path).ok());
 
   Rng gen_rng2(7);
   const Dataset base = GenerateSynthetic(spec, &gen_rng2);
   Rng aug_rng2(8);
-  const std::string got_path = ::testing::TempDir() + "/aug_got.txt";
+  const std::string got_path = test::UniqueTempPath("aug_got.txt");
   ASSERT_TRUE(StreamAugmentedToFile(base, 600, &aug_rng2, got_path).ok());
 
   const auto read_all = [](const std::string& path) {
@@ -137,9 +138,9 @@ TEST(AugmentTest, StreamedFileMatchesMaterializedAugmentByteForByte) {
 
   // A target at or below the base size degenerates to a plain save.
   Rng aug_rng3(9);
-  const std::string same_path = ::testing::TempDir() + "/aug_same.txt";
+  const std::string same_path = test::UniqueTempPath("aug_same.txt");
   ASSERT_TRUE(StreamAugmentedToFile(base, 100, &aug_rng3, same_path).ok());
-  const std::string base_path = ::testing::TempDir() + "/aug_base.txt";
+  const std::string base_path = test::UniqueTempPath("aug_base.txt");
   ASSERT_TRUE(base.SaveToFile(base_path).ok());
   EXPECT_EQ(read_all(same_path), read_all(base_path));
   std::remove(same_path.c_str());

@@ -27,7 +27,6 @@ namespace {
 struct SoaMbrs {
   std::vector<double> min_x, min_y, max_x, max_y;
   std::vector<FrozenNodeRecord> nodes;
-  std::vector<uint64_t> sigs;
 
   size_t size() const { return min_x.size(); }
 
@@ -39,7 +38,6 @@ struct SoaMbrs {
     FrozenNodeRecord rec{};
     rec.sig = sig;
     nodes.push_back(rec);
-    sigs.push_back(sig);
   }
 };
 
@@ -158,32 +156,6 @@ TEST_P(KernelsTest, ChildScanSigMatchesScalarSurvivorsAndDistances) {
         for (uint32_t k = 0; k < want_n; ++k) {
           EXPECT_EQ(got_idx[k], want_idx[k]) << GetParam() << " k=" << k;
           EXPECT_EQ(got_dist[k], want_dist[k]) << GetParam() << " k=" << k;
-        }
-      }
-    }
-  }
-}
-
-TEST_P(KernelsTest, SigAnyFilterMatchesScalar) {
-  const KernelOps* scalar = nullptr;
-  ASSERT_TRUE(KernelsForName("scalar", &scalar).ok());
-  const KernelOps* simd = ops();
-
-  const SoaMbrs soa = MakeAdversarialMbrs(40, 31);
-  const uint64_t query_sigs[] = {0, ~uint64_t{0}, uint64_t{1} << 63, 0xF0F0ull};
-  for (const uint64_t qs : query_sigs) {
-    for (uint32_t offset = 0; offset < 4; ++offset) {
-      for (uint32_t count = 0; count <= 33; ++count) {
-        std::vector<uint32_t> want(count), got(count);
-        const uint32_t want_n = scalar->sig_any_filter(
-            soa.sigs.data() + offset, count, qs, want.data());
-        const uint32_t got_n = simd->sig_any_filter(soa.sigs.data() + offset,
-                                                    count, qs, got.data());
-        ASSERT_EQ(got_n, want_n)
-            << GetParam() << " qs=" << qs << " offset=" << offset
-            << " count=" << count;
-        for (uint32_t k = 0; k < want_n; ++k) {
-          EXPECT_EQ(got[k], want[k]) << GetParam() << " k=" << k;
         }
       }
     }

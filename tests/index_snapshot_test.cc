@@ -1,7 +1,8 @@
-// Snapshot format tests: byte-for-byte round trips, the v1/v2
+// Snapshot format tests: byte-for-byte round trips, the v1/v2/v3
 // cross-version matrix, graceful rejection (a Status, never a crash) of
 // truncated / corrupted / wrong-version / unknown-layout / wrong-dataset
-// files, and query bit-identity of snapshot-loaded trees (warm and cold).
+// files and of structurally broken posting sections, saving over a mapped
+// file, and query bit-identity of snapshot-loaded trees (warm and cold).
 
 #include "index/snapshot.h"
 
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -26,13 +28,27 @@ namespace {
 // Format constants mirrored from snapshot.cc on purpose: these tests pin
 // the on-disk layout, so they must not share code with the implementation.
 constexpr size_t kV1HeaderBytes = 48;
+constexpr size_t kV2HeaderBytes = 56;
+constexpr size_t kV3HeaderBytes = 64;
 constexpr size_t kV2HeaderRegionBytes = 4096;
-constexpr size_t kVersionOffset = 4;      // uint16
-constexpr size_t kBodyBytesOffset = 40;   // uint64
-constexpr size_t kLayoutOffset = 48;      // uint32, v2 only
+constexpr size_t kVersionOffset = 4;         // uint16
+constexpr size_t kNumNodesOffset = 24;       // uint32
+constexpr size_t kNumLeafEntriesOffset = 28; // uint32
+constexpr size_t kNumTermsOffset = 32;       // uint32
+constexpr size_t kBodyBytesOffset = 40;      // uint64
+constexpr size_t kLayoutOffset = 48;         // uint32, v2+
+constexpr size_t kNumPostTermsOffset = 56;   // uint32, v3
+constexpr size_t kNumPostingsOffset = 60;    // uint32, v3
+// FrozenNodeRecord (32 bytes) field offsets.
+constexpr size_t kRecordBytes = 32;
+constexpr size_t kRecEntryBeginOffset = 8;   // uint32
+constexpr size_t kRecEntryCountOffset = 12;  // uint16
+constexpr size_t kRecFlagsOffset = 14;       // uint16
+constexpr size_t kRecTermBeginOffset = 16;   // uint32
+constexpr size_t kRecTermCountOffset = 20;   // uint32
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return test::UniqueTempPath(name);
 }
 
 std::vector<char> ReadAll(const std::string& path) {
@@ -71,12 +87,6 @@ uint64_t FileChecksum(const char* data, size_t len) {
   return h;
 }
 
-uint64_t ReadU64(const std::vector<char>& bytes, size_t off) {
-  uint64_t v;
-  memcpy(&v, bytes.data() + off, sizeof(v));
-  return v;
-}
-
 // Re-signs a forged file: recomputes the trailer checksum over everything
 // before it, so a mutation test exercises the check it targets instead of
 // tripping the checksum first.
@@ -86,22 +96,196 @@ void Resign(std::vector<char>* bytes) {
   memcpy(bytes->data() + bytes->size() - 8, &sum, sizeof(sum));
 }
 
-// Synthesizes the byte-exact v1 (48-byte header, bfs) file for the same
-// body as a v2 bfs snapshot: drops the header padding, rewrites the
-// version, re-signs. This is what pre-v2 builds wrote, so it pins backward
-// compatibility without keeping an old binary around.
-std::vector<char> MakeV1File(const std::vector<char>& v2) {
-  EXPECT_GE(v2.size(), kV2HeaderRegionBytes + 8);
-  const size_t body_bytes =
-      static_cast<size_t>(ReadU64(v2, kBodyBytesOffset));
-  std::vector<char> v1(kV1HeaderBytes + body_bytes + 8, '\0');
-  memcpy(v1.data(), v2.data(), kV1HeaderBytes);
-  const uint16_t version = 1;
-  memcpy(v1.data() + kVersionOffset, &version, sizeof(version));
-  memcpy(v1.data() + kV1HeaderBytes, v2.data() + kV2HeaderRegionBytes,
-         body_bytes);
-  Resign(&v1);
-  return v1;
+template <typename T>
+T ReadAt(const std::vector<char>& bytes, size_t off) {
+  T v;
+  memcpy(&v, bytes.data() + off, sizeof(v));
+  return v;
+}
+
+template <typename T>
+void WriteAt(std::vector<char>* bytes, size_t off, T v) {
+  memcpy(bytes->data() + off, &v, sizeof(v));
+}
+
+size_t Align8(size_t n) { return (n + 7) & ~size_t{7}; }
+
+// Byte offsets (inside the body) of the sections every version shares, as
+// the format defines them: the node region, then the term arena and the
+// leaf-entry id/x/y/sig arrays, each 8-byte aligned. `tail` is where the
+// version-specific sections start (v3: postings; v1/v2: keyword spans).
+struct CommonSections {
+  bool level_grouped = false;
+  size_t terms = 0;
+  size_t leaf_ids = 0;
+  size_t leaf_x = 0;
+  size_t leaf_y = 0;
+  size_t leaf_sigs = 0;
+  size_t tail = 0;
+
+  size_t Record(uint32_t slot) const {
+    return level_grouped ? (slot / 64) * 4096 + (slot % 64) * kRecordBytes
+                         : slot * kRecordBytes;
+  }
+};
+
+CommonSections SectionsFor(bool level_grouped, uint32_t nodes,
+                           uint32_t entries, uint32_t terms) {
+  CommonSections c;
+  c.level_grouped = level_grouped;
+  size_t off = level_grouped ? (nodes + 63) / 64 * 4096
+                             : Align8(nodes * kRecordBytes) +
+                                   4 * Align8(size_t{nodes} * 8);
+  c.terms = off;
+  off += Align8(size_t{terms} * 4);
+  c.leaf_ids = off;
+  off += Align8(size_t{entries} * 4);
+  c.leaf_x = off;
+  off += Align8(size_t{entries} * 8);
+  c.leaf_y = off;
+  off += Align8(size_t{entries} * 8);
+  c.leaf_sigs = off;
+  off += Align8(size_t{entries} * 8);
+  c.tail = off;
+  return c;
+}
+
+// A parsed v3 file: its header fields and the offsets of the posting
+// sections inside the file.
+struct V3File {
+  uint32_t num_nodes = 0;
+  uint32_t num_leaf_entries = 0;
+  uint32_t num_terms = 0;
+  uint32_t num_post_terms = 0;
+  uint32_t num_postings = 0;
+  CommonSections sections;
+  size_t post_begin = 0;    // file offset of post_begin[0]
+  size_t post_entries = 0;  // file offset of post_entries[0]
+};
+
+V3File ParseV3(const std::vector<char>& v3) {
+  V3File f;
+  EXPECT_EQ(ReadAt<uint16_t>(v3, kVersionOffset), 3u);
+  f.num_nodes = ReadAt<uint32_t>(v3, kNumNodesOffset);
+  f.num_leaf_entries = ReadAt<uint32_t>(v3, kNumLeafEntriesOffset);
+  f.num_terms = ReadAt<uint32_t>(v3, kNumTermsOffset);
+  f.num_post_terms = ReadAt<uint32_t>(v3, kNumPostTermsOffset);
+  f.num_postings = ReadAt<uint32_t>(v3, kNumPostingsOffset);
+  f.sections = SectionsFor(ReadAt<uint32_t>(v3, kLayoutOffset) == 1,
+                           f.num_nodes, f.num_leaf_entries, f.num_terms);
+  f.post_begin = kV2HeaderRegionBytes + f.sections.tail;
+  f.post_entries =
+      f.post_begin + Align8((size_t{f.num_post_terms} + 1) * 4);
+  EXPECT_EQ(f.post_entries + Align8(size_t{f.num_postings} * 4) + 8,
+            v3.size());
+  return f;
+}
+
+// Synthesizes the byte-exact file a pre-v3 build wrote for the same tree
+// as the v3 file `v3`: the keyword sets are recovered by transposing the
+// posting file, then laid out v1/v2 style — one term arena interleaving,
+// slot by slot, each node's summary and its leaf objects' keyword sets,
+// addressed by per-entry (begin, count) spans. v1 has the bare 48-byte
+// header (bfs only), v2 the 56-byte header padded to 4096 bytes. This pins
+// backward compatibility without keeping an old binary around.
+std::vector<char> MakeLegacyFile(const std::vector<char>& v3,
+                                 uint16_t version) {
+  const V3File f = ParseV3(v3);
+  const CommonSections& c = f.sections;
+  const char* body = v3.data() + kV2HeaderRegionBytes;
+  std::vector<std::vector<uint32_t>> keywords(f.num_leaf_entries);
+  for (uint32_t t = 0; t < f.num_post_terms; ++t) {
+    const uint32_t begin = ReadAt<uint32_t>(v3, f.post_begin + 4 * t);
+    const uint32_t end = ReadAt<uint32_t>(v3, f.post_begin + 4 * (t + 1));
+    for (uint32_t i = begin; i < end; ++i) {
+      keywords[ReadAt<uint32_t>(v3, f.post_entries + 4 * i)].push_back(t);
+    }
+  }
+  std::vector<char> node_region(body, body + c.terms);
+  std::vector<uint32_t> arena;
+  std::vector<uint32_t> span_begin(f.num_leaf_entries);
+  std::vector<uint32_t> span_count(f.num_leaf_entries);
+  for (uint32_t slot = 0; slot < f.num_nodes; ++slot) {
+    const size_t rec = c.Record(slot);
+    const uint32_t term_begin =
+        ReadAt<uint32_t>(node_region, rec + kRecTermBeginOffset);
+    const uint32_t term_count =
+        ReadAt<uint32_t>(node_region, rec + kRecTermCountOffset);
+    WriteAt<uint32_t>(&node_region, rec + kRecTermBeginOffset,
+                      static_cast<uint32_t>(arena.size()));
+    for (uint32_t i = 0; i < term_count; ++i) {
+      arena.push_back(ReadAt<uint32_t>(v3, kV2HeaderRegionBytes + c.terms +
+                                               4 * (term_begin + i)));
+    }
+    if ((ReadAt<uint16_t>(node_region, rec + kRecFlagsOffset) & 1) == 0) {
+      continue;
+    }
+    const uint32_t entry_begin =
+        ReadAt<uint32_t>(node_region, rec + kRecEntryBeginOffset);
+    const uint16_t entry_count =
+        ReadAt<uint16_t>(node_region, rec + kRecEntryCountOffset);
+    for (uint32_t e = entry_begin; e < entry_begin + entry_count; ++e) {
+      span_begin[e] = static_cast<uint32_t>(arena.size());
+      span_count[e] = static_cast<uint32_t>(keywords[e].size());
+      arena.insert(arena.end(), keywords[e].begin(), keywords[e].end());
+    }
+  }
+  const uint32_t legacy_terms = static_cast<uint32_t>(arena.size());
+  const CommonSections lc = SectionsFor(c.level_grouped, f.num_nodes,
+                                        f.num_leaf_entries, legacy_terms);
+  const size_t spans = Align8(size_t{f.num_leaf_entries} * 4);
+  std::vector<char> legacy_body(lc.tail + 2 * spans, '\0');
+  memcpy(legacy_body.data(), node_region.data(), node_region.size());
+  memcpy(legacy_body.data() + lc.terms, arena.data(), arena.size() * 4);
+  memcpy(legacy_body.data() + lc.leaf_ids, body + c.leaf_ids,
+         c.tail - c.leaf_ids);
+  memcpy(legacy_body.data() + lc.tail, span_begin.data(),
+         span_begin.size() * 4);
+  memcpy(legacy_body.data() + lc.tail + spans, span_count.data(),
+         span_count.size() * 4);
+
+  const size_t region = version == 1 ? kV1HeaderBytes : kV2HeaderRegionBytes;
+  std::vector<char> out(region + legacy_body.size() + 8, '\0');
+  memcpy(out.data(), v3.data(),
+         version == 1 ? kV1HeaderBytes : kV2HeaderBytes);
+  WriteAt<uint16_t>(&out, kVersionOffset, version);
+  WriteAt<uint32_t>(&out, kNumTermsOffset, legacy_terms);
+  WriteAt<uint64_t>(&out, kBodyBytesOffset, legacy_body.size());
+  memcpy(out.data() + region, legacy_body.data(), legacy_body.size());
+  Resign(&out);
+  return out;
+}
+
+// Asserts that two trees over `ds` answer keyword-NN (with visit logs) and
+// range retrieval (both frozen paths) identically on seeded queries.
+void ExpectSameAnswers(const IrTree& want, const IrTree& got,
+                       const Dataset& ds, uint64_t seed) {
+  Rng rng(seed);
+  const TermId vocab = static_cast<TermId>(ds.vocabulary().size());
+  for (int trial = 0; trial < 40; ++trial) {
+    const Point p{rng.UniformDouble(), rng.UniformDouble()};
+    const TermId t = static_cast<TermId>(rng.UniformUint64(vocab));
+    double want_d = 0.0;
+    double got_d = 0.0;
+    std::vector<uint32_t> want_log;
+    std::vector<uint32_t> got_log;
+    EXPECT_EQ(got.KeywordNn(p, t, &got_d, &got_log),
+              want.KeywordNn(p, t, &want_d, &want_log));
+    EXPECT_EQ(got_d, want_d);
+    EXPECT_EQ(got_log, want_log);
+
+    TermSet terms;
+    for (int k = 0; k < 3; ++k) {
+      terms.push_back(static_cast<TermId>(rng.UniformUint64(vocab)));
+    }
+    NormalizeTermSet(&terms);
+    const Circle disk(p, rng.UniformDouble() * 0.6);
+    std::vector<ObjectId> want_range;
+    std::vector<ObjectId> got_range;
+    want.RangeRelevant(disk, terms, &want_range);
+    got.RangeRelevant(disk, terms, &got_range);
+    EXPECT_EQ(got_range, want_range);
+  }
 }
 
 class SnapshotRoundTripTest : public ::testing::Test {
@@ -193,52 +377,119 @@ TEST_F(SnapshotRoundTripTest, InfoReportsHeaderFields) {
   EXPECT_EQ(info->layout, FrozenLayout::kBfs);
   EXPECT_EQ(info->header_bytes, kV2HeaderRegionBytes);
   EXPECT_EQ(info->file_bytes, kV2HeaderRegionBytes + info->body_bytes + 8u);
+  // The posting file holds one entry per (object, keyword) pair.
+  EXPECT_EQ(info->num_postings, ds.TotalKeywordCount());
+  EXPECT_GT(info->num_post_terms, 0u);
 }
 
 TEST_F(SnapshotRoundTripTest, V1FileLoadsBitIdentically) {
-  // Cross-version matrix, v1 column: a synthesized v1 (48-byte header)
-  // snapshot of the same body must load, answer queries bit-identically to
-  // the v2 load (visit logs included), and re-save as the v2 file.
+  // Cross-version matrix, v1 column: a synthesized v1 (48-byte header,
+  // keyword-span body) snapshot of the same tree must load, answer queries
+  // bit-identically to the v3 load (visit logs included), and re-save as
+  // the v3 file — the postings derived from its spans are byte for byte
+  // the ones Freeze() writes.
   Dataset ds = test::MakeRandomDataset(400, 35, 3.0, 17);
   IrTree tree(&ds);
-  const std::string v2_path = Track(TempPath("snap_v2.cqix"));
-  ASSERT_TRUE(SaveSnapshot(&tree, v2_path).ok());
-  const std::vector<char> v2 = ReadAll(v2_path);
+  const std::string v3_path = Track(TempPath("snap_v3.cqix"));
+  ASSERT_TRUE(SaveSnapshot(&tree, v3_path).ok());
+  const std::vector<char> v3 = ReadAll(v3_path);
 
   const std::string v1_path = Track(TempPath("snap_v1.cqix"));
-  WriteAll(v1_path, MakeV1File(v2));
+  WriteAll(v1_path, MakeLegacyFile(v3, 1));
 
   auto info = ReadSnapshotInfo(v1_path);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(info->version, 1u);
   EXPECT_EQ(info->layout, FrozenLayout::kBfs);
   EXPECT_EQ(info->header_bytes, kV1HeaderBytes);
+  EXPECT_EQ(info->num_postings, 0u);
 
   auto from_v1 = LoadSnapshot(&ds, v1_path);
   ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
-  auto from_v2 = LoadSnapshot(&ds, v2_path);
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
+  auto from_v3 = LoadSnapshot(&ds, v3_path);
+  ASSERT_TRUE(from_v3.ok()) << from_v3.status().ToString();
   (*from_v1)->CheckInvariants();
+  ExpectSameAnswers(**from_v3, **from_v1, ds, 18);
 
-  Rng qrng(18);
-  for (int trial = 0; trial < 40; ++trial) {
-    const Point p{qrng.UniformDouble(), qrng.UniformDouble()};
-    const TermId t = static_cast<TermId>(qrng.UniformUint64(35));
-    double d1 = 0.0;
-    double d2 = 0.0;
-    std::vector<uint32_t> log1;
-    std::vector<uint32_t> log2;
-    EXPECT_EQ((*from_v1)->KeywordNn(p, t, &d1, &log1),
-              (*from_v2)->KeywordNn(p, t, &d2, &log2));
-    EXPECT_EQ(d1, d2);
-    EXPECT_EQ(log1, log2);
-  }
-
-  // Saving the v1-loaded tree writes the current (v2) format with the
+  // Saving the v1-loaded tree writes the current (v3) format with the
   // identical body.
   const std::string resaved = Track(TempPath("snap_v1_resave.cqix"));
   ASSERT_TRUE(SaveSnapshot(from_v1->get(), resaved).ok());
-  EXPECT_EQ(ReadAll(resaved), v2);
+  EXPECT_EQ(ReadAll(resaved), v3);
+}
+
+TEST_F(SnapshotRoundTripTest, V2FilesLoadBitIdenticallyInBothLayouts) {
+  // v2 column: keyword-span bodies with the 4096-byte header region, in
+  // both node layouts. Cold loads of them convert into an owned body too.
+  Dataset ds = test::MakeRandomDataset(700, 45, 3.5, 23);
+  for (FrozenLayout layout :
+       {FrozenLayout::kBfs, FrozenLayout::kLevelGrouped}) {
+    IrTree::Options options;
+    options.frozen_layout = layout;
+    IrTree tree(&ds, options);
+    const std::string v3_path = Track(TempPath("snap_v3_both.cqix"));
+    ASSERT_TRUE(SaveSnapshot(&tree, v3_path).ok());
+    const std::vector<char> v3 = ReadAll(v3_path);
+    const std::string v2_path = Track(TempPath("snap_v2_both.cqix"));
+    WriteAll(v2_path, MakeLegacyFile(v3, 2));
+
+    auto info = ReadSnapshotInfo(v2_path);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(info->version, 2u);
+    EXPECT_EQ(info->layout, layout);
+
+    SnapshotLoadOptions cold_options;
+    cold_options.cold = true;
+    for (const SnapshotLoadOptions& load_options :
+         {SnapshotLoadOptions(), cold_options}) {
+      auto from_v2 = LoadSnapshot(&ds, v2_path, load_options);
+      ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
+      (*from_v2)->CheckInvariants();
+      EXPECT_EQ((*from_v2)->MemoryStats().layout, layout);
+      tree.Freeze();
+      ExpectSameAnswers(tree, **from_v2, ds, 24);
+      const std::string resaved = Track(TempPath("snap_v2_resave.cqix"));
+      ASSERT_TRUE(SaveSnapshot(from_v2->get(), resaved).ok());
+      EXPECT_EQ(ReadAll(resaved), v3) << FrozenLayoutName(layout);
+    }
+  }
+}
+
+TEST_F(SnapshotRoundTripTest, SaveOverAMappedFileKeepsTheLoadedTreeValid) {
+  // SaveSnapshot writes a temp file and renames it over the target, so a
+  // tree serving from a mapping of the old file keeps a valid inode: no
+  // SIGBUS, and its answers do not change. The new file holds the new tree.
+  Dataset ds = test::MakeRandomDataset(600, 40, 3.0, 41);
+  IrTree full(&ds);
+  const std::string path = Track(TempPath("snap_over.cqix"));
+  ASSERT_TRUE(SaveSnapshot(&full, path).ok());
+  auto mapped = LoadSnapshot(&ds, path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  auto reference = LoadSnapshot(&ds, path);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  std::vector<ObjectId> half;
+  for (ObjectId id = 0; id < 300; ++id) {
+    half.push_back(id);
+  }
+  IrTree smaller(&ds, IrTree::Options(), half);
+  ASSERT_TRUE(SaveSnapshot(&smaller, path).ok());
+
+  (*mapped)->CheckInvariants();
+  EXPECT_EQ((*mapped)->size(), 600u);
+  ExpectSameAnswers(**reference, **mapped, ds, 42);
+  auto reloaded = LoadSnapshot(&ds, path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ((*reloaded)->size(), 300u);
+  // No temp file is left next to the target.
+  const std::filesystem::path target(path);
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    EXPECT_EQ(entry.path().filename().string().rfind(
+                  target.filename().string() + ".tmp.", 0),
+              std::string::npos)
+        << entry.path();
+  }
 }
 
 TEST_F(SnapshotRoundTripTest, LevelGroupedRoundTripAndInspect) {
@@ -368,7 +619,7 @@ class SnapshotRejectionTest : public SnapshotRoundTripTest {
     path_ = Track(TempPath("snap_reject.cqix"));
     ASSERT_TRUE(SaveSnapshot(tree_.get(), path_).ok());
     bytes_ = ReadAll(path_);
-    ASSERT_GT(bytes_.size(), 56u);
+    ASSERT_GT(bytes_.size(), kV3HeaderBytes);
   }
 
   /// Writes a mutated copy and expects LoadSnapshot to fail cleanly.
@@ -387,13 +638,18 @@ class SnapshotRejectionTest : public SnapshotRoundTripTest {
 };
 
 TEST_F(SnapshotRejectionTest, TruncationAtEveryHeaderBoundaryFails) {
-  // Every prefix of the 56-byte header, the header-region boundary, the
-  // empty file, and the file missing its trailer must all be rejected with
-  // a Status.
+  // Every prefix of the 64-byte header, the header-region boundary, the
+  // posting sections' boundaries, the empty file, and the file missing its
+  // trailer must all be rejected with a Status.
+  const V3File f = ParseV3(bytes_);
   std::vector<size_t> sizes;
-  for (size_t s = 0; s <= 56; ++s) {
-    sizes.push_back(s);  // Through the header fields, incl. layout.
+  for (size_t s = 0; s <= kV3HeaderBytes; ++s) {
+    sizes.push_back(s);  // Through the header fields, incl. posting counts.
   }
+  sizes.push_back(f.post_begin);        // Posting offsets missing.
+  sizes.push_back(f.post_begin + 4);    // Offsets cut short.
+  sizes.push_back(f.post_entries);      // Posting entries missing.
+  sizes.push_back(f.post_entries + 4);  // Entries cut short.
   sizes.push_back(kV2HeaderRegionBytes - 1);  // Padding cut short.
   sizes.push_back(kV2HeaderRegionBytes);      // Header region alone.
   sizes.push_back(kV2HeaderRegionBytes + 8);  // First body bytes only.
@@ -413,7 +669,7 @@ TEST_F(SnapshotRejectionTest, TruncationAtEveryHeaderBoundaryFails) {
 TEST_F(SnapshotRejectionTest, V1TruncationAndCorruptionFail) {
   // The rejection sweeps re-run against the synthesized v1 file: the old
   // header format stays guarded, not just loadable.
-  const std::vector<char> v1 = MakeV1File(bytes_);
+  const std::vector<char> v1 = MakeLegacyFile(bytes_, 1);
   const std::string ok_path = Track(TempPath("snap_v1_ok.cqix"));
   WriteAll(ok_path, v1);
   auto check = LoadSnapshot(&dataset_, ok_path);
@@ -438,6 +694,83 @@ TEST_F(SnapshotRejectionTest, V1TruncationAndCorruptionFail) {
     }
     ExpectRejected(mutated, "v1 bit flip at offset " + std::to_string(pos));
   }
+}
+
+TEST_F(SnapshotRejectionTest, BrokenPostingSectionsFailWithStatus) {
+  // Structurally broken posting files behind a valid checksum (the file is
+  // re-signed) must be rejected by the load-time validation, never reach a
+  // query: offsets that do not start at 0, decrease, or do not end at Σ df;
+  // entries past the leaf entries; runs out of order or with duplicates.
+  const V3File f = ParseV3(bytes_);
+  ASSERT_GT(f.num_post_terms, 2u);
+  const auto offset = [&](uint32_t t) { return f.post_begin + 4 * t; };
+  const auto entry = [&](uint32_t i) { return f.post_entries + 4 * i; };
+  // A run of length >= 2 to reorder.
+  uint32_t long_run = 0;
+  while (ReadAt<uint32_t>(bytes_, offset(long_run + 1)) -
+             ReadAt<uint32_t>(bytes_, offset(long_run)) <
+         2) {
+    ++long_run;
+    ASSERT_LT(long_run, f.num_post_terms);
+  }
+  const uint32_t run_at = ReadAt<uint32_t>(bytes_, offset(long_run));
+  struct Mutation {
+    std::string what;
+    size_t off;
+    uint32_t value;
+  };
+  const std::vector<Mutation> mutations = {
+      {"first offset not zero", offset(0), 1},
+      {"offset past the end", offset(1), f.num_postings + 1},
+      {"offsets decrease", offset(long_run + 1),
+       ReadAt<uint32_t>(bytes_, offset(long_run + 2)) + 1},
+      {"last offset not Σdf", offset(f.num_post_terms), f.num_postings - 1},
+      {"entry past the leaf entries", entry(0), f.num_leaf_entries},
+      {"run out of order", entry(run_at),
+       ReadAt<uint32_t>(bytes_, entry(run_at + 1)) + 1},
+      {"duplicate in a run", entry(run_at + 1),
+       ReadAt<uint32_t>(bytes_, entry(run_at))},
+  };
+  for (const Mutation& m : mutations) {
+    std::vector<char> mutated = bytes_;
+    WriteAt<uint32_t>(&mutated, m.off, m.value);
+    ASSERT_NE(mutated, bytes_) << m.what;
+    Resign(&mutated);
+    const std::string path = Track(TempPath("snap_badpost.cqix"));
+    WriteAll(path, mutated);
+    auto loaded = LoadSnapshot(&dataset_, path);
+    ASSERT_FALSE(loaded.ok()) << m.what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+        << m.what << ": " << loaded.status().ToString();
+  }
+}
+
+TEST_F(SnapshotRejectionTest, LegacySpanCorruptionFailsWithStatus) {
+  // v1/v2 bodies are converted on load; a re-signed legacy file whose
+  // keyword span leaves the term arena, or names a term the dataset does
+  // not have, is rejected before any of it is read.
+  std::vector<char> v2 = MakeLegacyFile(bytes_, 2);
+  const uint32_t nodes = ReadAt<uint32_t>(v2, kNumNodesOffset);
+  const uint32_t entries = ReadAt<uint32_t>(v2, kNumLeafEntriesOffset);
+  const uint32_t terms = ReadAt<uint32_t>(v2, kNumTermsOffset);
+  const CommonSections c = SectionsFor(false, nodes, entries, terms);
+  const size_t span_begin = kV2HeaderRegionBytes + c.tail;
+  const size_t span_count = span_begin + Align8(size_t{entries} * 4);
+  uint32_t e = 0;  // An entry with a non-empty keyword set.
+  while (ReadAt<uint32_t>(v2, span_count + 4 * e) == 0) {
+    ++e;
+    ASSERT_LT(e, entries);
+  }
+  std::vector<char> out_of_arena = v2;
+  WriteAt<uint32_t>(&out_of_arena, span_begin + 4 * e, terms);
+  Resign(&out_of_arena);
+  ExpectRejected(out_of_arena, "legacy span past the term arena");
+  std::vector<char> bad_term = v2;
+  const uint32_t first_term = ReadAt<uint32_t>(v2, span_begin + 4 * e);
+  WriteAt<uint32_t>(&bad_term, kV2HeaderRegionBytes + c.terms + 4 * first_term,
+                    0xfffffff0u);
+  Resign(&bad_term);
+  ExpectRejected(bad_term, "legacy keyword id past the vocabulary");
 }
 
 TEST_F(SnapshotRejectionTest, UnknownLayoutIdFailsWithStatus) {

@@ -28,7 +28,7 @@ TEST(IntegrationTest, FullPipelineRoundTrip) {
   spec.avg_keywords_per_object = 4.0;
   Dataset original = GenerateSynthetic(spec, &rng);
 
-  const std::string path = ::testing::TempDir() + "/coskq_integration.txt";
+  const std::string path = test::UniqueTempPath("coskq_integration.txt");
   ASSERT_TRUE(original.SaveToFile(path).ok());
   StatusOr<Dataset> loaded_or = Dataset::LoadFromFile(path);
   ASSERT_TRUE(loaded_or.ok());

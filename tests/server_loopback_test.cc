@@ -496,7 +496,7 @@ TEST_F(ServerLoopbackTest, StatsReportIndexProvenance) {
 // seeded queries and both cost functions.
 TEST_F(ServerLoopbackTest, SnapshotServedAnswersAreBitIdentical) {
   const std::string path =
-      ::testing::TempDir() + "/coskq_loopback_snapshot.cqix";
+      test::UniqueTempPath("coskq_loopback_snapshot.cqix");
   ASSERT_TRUE(SaveSnapshot(index_.get(), path).ok());
   StatusOr<std::unique_ptr<IrTree>> loaded = LoadSnapshot(&dataset_, path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

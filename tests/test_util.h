@@ -2,8 +2,13 @@
 #define COSKQ_TESTS_TEST_UTIL_H_
 
 // Helpers shared by the test suites: small random datasets and queries with
-// reproducible seeds.
+// reproducible seeds, and per-test scratch paths.
 
+#include <unistd.h>
+
+#include <gtest/gtest.h>
+
+#include <string>
 #include <vector>
 
 #include "data/dataset.h"
@@ -36,6 +41,26 @@ inline CoskqQuery MakeRandomQuery(const Dataset& dataset, size_t k,
   QueryGenerator gen(&dataset);
   Rng rng(seed);
   return gen.Generate(k, &rng);
+}
+
+/// A scratch path under ::testing::TempDir() unique to this process and the
+/// running test: `<tempdir>/<suite>.<test>.<pid>.<name>`. ctest runs every
+/// test case in its own process, often in parallel, so fixed names would let
+/// concurrent cases overwrite (or truncate under an mmap) each other's
+/// files. Use it for files and directories alike.
+inline std::string UniqueTempPath(const std::string& name) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string tag = info != nullptr ? std::string(info->test_suite_name()) +
+                                          "." + info->name()
+                                    : std::string("no_test");
+  for (char& c : tag) {
+    if (c == '/') {
+      c = '_';  // Parameterized names carry slashes.
+    }
+  }
+  return ::testing::TempDir() + "/" + tag + "." + std::to_string(getpid()) +
+         "." + name;
 }
 
 }  // namespace test

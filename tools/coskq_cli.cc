@@ -24,7 +24,8 @@
 //       in on demand), --memory-budget caps the body's resident bytes
 //       (implies --cold), --drop-page-cache evicts the file cache first so
 //       the run starts from disk; the residency/page-fault counters are
-//       printed after the batch.
+//       printed after the batch, followed by the range-retrieval counters
+//       (calls answered from the posting file vs the tree walk).
 //   serve <dataset.txt> [--port P] [--workers N] [--queue-cap Q]
 //         [--max-deadline-ms D] [--port-file PATH] [--index-snapshot PATH]
 //         [--enable-mutations] [--refreeze-threshold T]
@@ -331,6 +332,26 @@ void PrintMemoryStats(const IrTree& index) {
   std::printf("\n");
 }
 
+/// Prints how the frozen body answered range retrievals (posting file vs
+/// tree walk) and the entries each examined.
+void PrintRangeStats(const IrTree& index) {
+  const RangeRetrievalStats range = index.range_stats();
+  const auto per_call = [](uint64_t entries, uint64_t calls) {
+    return calls == 0 ? 0.0
+                      : static_cast<double>(entries) /
+                            static_cast<double>(calls);
+  };
+  std::printf(
+      "range retrieval: postings calls=%llu entries=%llu (%.1f/call) "
+      "tree calls=%llu entries=%llu (%.1f/call)\n",
+      static_cast<unsigned long long>(range.posting_calls),
+      static_cast<unsigned long long>(range.posting_entries),
+      per_call(range.posting_entries, range.posting_calls),
+      static_cast<unsigned long long>(range.tree_calls),
+      static_cast<unsigned long long>(range.tree_entries),
+      per_call(range.tree_entries, range.tree_calls));
+}
+
 int RunBatch(const std::vector<std::string>& args) {
   if (args.size() < 4) {
     return Usage();
@@ -439,6 +460,7 @@ int RunBatch(const std::vector<std::string>& args) {
               static_cast<unsigned long long>(seed));
   std::printf("%s\n", outcome.stats.ToString().c_str());
   PrintMemoryStats(*index);
+  PrintRangeStats(*index);
   return 0;
 }
 
@@ -632,6 +654,9 @@ int RunIndexInspect(const std::vector<std::string>& args) {
               FormatWithCommas(info->num_leaf_entries).c_str());
   std::printf("  term arena       %s ids\n",
               FormatWithCommas(info->num_terms).c_str());
+  std::printf("  posting lists    %s (%s entries)\n",
+              FormatWithCommas(info->num_post_terms).c_str(),
+              FormatWithCommas(info->num_postings).c_str());
   std::printf("  height           %u\n", info->height);
   std::printf("  layout           %s\n", FrozenLayoutName(info->layout));
   std::printf("  header bytes     %s\n",
@@ -644,11 +669,21 @@ int RunIndexInspect(const std::vector<std::string>& args) {
   std::printf("  file bytes       %s\n",
               FormatWithCommas(info->file_bytes).c_str());
 
+  if (info->version < kSnapshotVersion) {
+    // v1/v2 bodies hold per-object keyword spans; loading converts them.
+    std::printf("  body sections: v%u keyword-span body (converted to the "
+                "v%u posting layout on load)\n",
+                info->version, kSnapshotVersion);
+    return 0;
+  }
   // Per-section breakdown, recomputed from the header counts exactly as the
   // loader lays the body out.
   using internal_index::BodyLayout;
   const BodyLayout lay = BodyLayout::Make(
-      info->layout, info->num_nodes, info->num_leaf_entries, info->num_terms);
+      info->layout,
+      internal_index::BodyCounts{info->num_nodes, info->num_leaf_entries,
+                                 info->num_terms, info->num_post_terms,
+                                 info->num_postings});
   const auto section = [&](const char* name, uint64_t begin, uint64_t end) {
     std::printf("    %-15s %12s bytes %8s pages\n", name,
                 FormatWithCommas(end - begin).c_str(),
@@ -663,10 +698,9 @@ int RunIndexInspect(const std::vector<std::string>& args) {
   section("leaf ids", lay.leaf_ids_off, lay.leaf_x_off);
   section("leaf x", lay.leaf_x_off, lay.leaf_y_off);
   section("leaf y", lay.leaf_y_off, lay.leaf_sigs_off);
-  section("leaf sigs", lay.leaf_sigs_off, lay.leaf_term_begin_off);
-  section("leaf term begin", lay.leaf_term_begin_off,
-          lay.leaf_term_count_off);
-  section("leaf term count", lay.leaf_term_count_off, lay.total_bytes);
+  section("leaf sigs", lay.leaf_sigs_off, lay.post_begin_off);
+  section("post begin", lay.post_begin_off, lay.post_entries_off);
+  section("post entries", lay.post_entries_off, lay.total_bytes);
   return 0;
 }
 
