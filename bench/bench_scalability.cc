@@ -8,27 +8,26 @@
 // measures what actually changes at paper scale: how the frozen index
 // behaves when it no longer fits warm memory.
 //
-// Per size the harness builds and snapshots the index twice — once per
-// frozen body layout (bfs and level-grouped) — and replays the same solver
-// batch through three load modes:
+// Per size the harness builds and snapshots the index once and replays the
+// same solver batch through three load modes:
 //
 //   warm    LoadSnapshot with MAP_POPULATE: every page resident before the
-//           first query. The layouts must tie here (within the gate).
+//           first query.
 //   cold    page cache dropped (posix_fadvise DONTNEED), cold mmap
 //           (no MAP_POPULATE, MADV_RANDOM, checksum verified by streamed
-//           reads), so every first touch is a major fault. The layout A/B
-//           here is deliberately honest: dense |q.ψ|=10 batches end with
-//           the resident set ≈ the whole body (the term arena dominates,
-//           see DESIGN.md §14), so expect a tie — a level-grouped win
-//           only appears in scattered/trimmed access patterns.
+//           reads), so every first touch is a major fault. Dense
+//           |q.ψ|=10 batches end with the resident set ≈ the whole body
+//           (the term arena dominates, see DESIGN.md §14).
 //   budget  cold plus a resident-set budget of body/4, enforced by mincore
 //           sampling + MADV_DONTNEED trims (FrozenStore::MaybeEnforceBudget)
 //           — the bounded-memory configuration a paper-scale server runs.
 //
 // Every round records the batch wall in RoundSamples (bench_compare.py
 // gates on the median twin), and cold rounds record the getrusage
-// major/minor page-fault deltas. All modes and layouts must return
-// bit-identical solver results — any divergence aborts.
+// major/minor page-fault deltas. All modes must return bit-identical
+// solver results — any divergence aborts. Cell op names keep the "-bfs"
+// suffix of the frozen body layout they were first recorded with, so the
+// committed baselines keep gating.
 //
 // Solver running-time/ratio trajectories (the paper's E4 figure proper)
 // live in bench_maxsum_vary_qkw / bench_dia_vary_qkw / bench_datasets at
@@ -122,9 +121,8 @@ uint64_t MedianU64(std::vector<uint64_t> v) {
   return v[v.size() / 2];
 }
 
-/// One frozen layout built over the grown dataset and saved to /tmp.
-struct PreparedLayout {
-  FrozenLayout layout = FrozenLayout::kBfs;
+/// The frozen index built over the grown dataset and saved to /tmp.
+struct PreparedSnapshot {
   std::string path;
   double build_freeze_ms = 0.0;
   double save_ms = 0.0;
@@ -132,16 +130,12 @@ struct PreparedLayout {
   uint64_t body_bytes = 0;
 };
 
-PreparedLayout PrepareSnapshot(const Dataset& dataset, FrozenLayout layout,
-                               const std::string& tag) {
-  PreparedLayout p;
-  p.layout = layout;
-  p.path = "/tmp/coskq_bench_scal_" + tag + "_" + FrozenLayoutName(layout) +
-           ".cqix";
+PreparedSnapshot PrepareSnapshot(const Dataset& dataset,
+                                 const std::string& tag) {
+  PreparedSnapshot p;
+  p.path = "/tmp/coskq_bench_scal_" + tag + ".cqix";
   WallTimer timer;
-  IrTree::Options options;
-  options.frozen_layout = layout;
-  IrTree tree(&dataset, options);
+  IrTree tree(&dataset);
   tree.Freeze();
   p.build_freeze_ms = timer.ElapsedMillis();
   timer.Restart();
@@ -161,7 +155,7 @@ PreparedLayout PrepareSnapshot(const Dataset& dataset, FrozenLayout layout,
   return p;
 }
 
-/// Per-round measurements of one (layout, load mode, solver) cell.
+/// Per-round measurements of one (load mode, solver) cell.
 struct ModeCell {
   RoundSamples wall;  // solver-batch wall per round
   RoundSamples load;  // cold modes: LoadSnapshot wall per round
@@ -175,7 +169,7 @@ struct ModeCell {
 
 /// Warm mode: one populated mapping, repeats calibrated so each timed round
 /// runs at least ~250 ms of solves (small scales finish a batch in
-/// microseconds, where timer noise swamps a layout effect).
+/// microseconds, where timer noise swamps the measurement).
 ModeCell MeasureWarm(const Dataset& dataset, const std::string& path,
                      const std::string& solver,
                      const std::vector<CoskqQuery>& queries,
@@ -312,11 +306,9 @@ void Run() {
       .Value("posix_fadvise(DONTNEED) + cold mmap before each round");
   json.Key("cells").BeginArray();
 
-  TablePrinter prepare_table(
-      {"|O|", "Layout", "Build+freeze", "Save", "Snapshot bytes"});
-  TablePrinter summary_table({"|O|", "Solver", "Warm lg/bfs", "Cold bfs med",
-                              "Cold lg med", "Cold speedup", "Majflt bfs",
-                              "Majflt lg", "Budget trims lg"});
+  TablePrinter prepare_table({"|O|", "Build+freeze", "Save", "Snapshot bytes"});
+  TablePrinter batch_table({"|O|", "Solver", "Warm med", "Cold med",
+                            "Budget med", "Majflt cold", "Budget trims"});
 
   // Augmentation never shrinks, so two requested sizes at or below the
   // base dataset clamp to the same effective |O|; skip the duplicates or
@@ -344,49 +336,35 @@ void Run() {
         MakeQueries(workload, kQueryKeywords, config);
     std::printf("-- %s --\n", dataset_id.c_str());
 
-    const PreparedLayout bfs = PrepareSnapshot(
-        workload.dataset, FrozenLayout::kBfs, std::to_string(objects));
-    const PreparedLayout lg =
-        PrepareSnapshot(workload.dataset, FrozenLayout::kLevelGrouped,
-                        std::to_string(objects));
-    for (const PreparedLayout* p : {&bfs, &lg}) {
-      prepare_table.AddRow({FormatWithCommas(objects),
-                            FrozenLayoutName(p->layout),
-                            FormatMillis(p->build_freeze_ms),
-                            FormatMillis(p->save_ms),
-                            FormatWithCommas(p->snapshot_bytes)});
-      json.BeginObject();
-      json.Key("op").Value(std::string("prepare-") +
-                           FrozenLayoutName(p->layout));
-      json.Key("dataset").Value(dataset_id);
-      json.Key("objects").Value(objects);
-      json.Key("build_freeze_ms").Value(p->build_freeze_ms);
-      json.Key("save_ms").Value(p->save_ms);
-      json.Key("snapshot_bytes").Value(p->snapshot_bytes);
-      json.Key("body_bytes").Value(p->body_bytes);
-      json.EndObject();
-    }
+    const PreparedSnapshot snap =
+        PrepareSnapshot(workload.dataset, std::to_string(objects));
+    prepare_table.AddRow({FormatWithCommas(objects),
+                          FormatMillis(snap.build_freeze_ms),
+                          FormatMillis(snap.save_ms),
+                          FormatWithCommas(snap.snapshot_bytes)});
+    json.BeginObject();
+    json.Key("op").Value("prepare-bfs");
+    json.Key("dataset").Value(dataset_id);
+    json.Key("objects").Value(objects);
+    json.Key("build_freeze_ms").Value(snap.build_freeze_ms);
+    json.Key("save_ms").Value(snap.save_ms);
+    json.Key("snapshot_bytes").Value(snap.snapshot_bytes);
+    json.Key("body_bytes").Value(snap.body_bytes);
+    json.EndObject();
 
     // Budget: a quarter of the body must stay under a floor that keeps the
     // enforcement meaningful at tiny CI scales.
     const uint64_t budget_bytes =
-        std::max<uint64_t>(lg.body_bytes / 4, 256 * 1024);
+        std::max<uint64_t>(snap.body_bytes / 4, 256 * 1024);
 
     for (const char* solver : {"maxsum-appro", "dia-appro"}) {
       BatchOutcome reference;
-      const ModeCell warm_bfs = MeasureWarm(
-          workload.dataset, bfs.path, solver, queries, nullptr, &reference);
-      const ModeCell warm_lg = MeasureWarm(workload.dataset, lg.path, solver,
-                                           queries, &reference, nullptr);
-      const ModeCell cold_bfs = MeasureCold(workload.dataset, bfs.path,
-                                            solver, queries, 0, &reference);
-      const ModeCell cold_lg = MeasureCold(workload.dataset, lg.path, solver,
-                                           queries, 0, &reference);
-      const ModeCell budget_bfs =
-          MeasureCold(workload.dataset, bfs.path, solver, queries,
-                      budget_bytes, &reference);
-      const ModeCell budget_lg =
-          MeasureCold(workload.dataset, lg.path, solver, queries,
+      const ModeCell warm = MeasureWarm(workload.dataset, snap.path, solver,
+                                        queries, nullptr, &reference);
+      const ModeCell cold = MeasureCold(workload.dataset, snap.path, solver,
+                                        queries, 0, &reference);
+      const ModeCell budget =
+          MeasureCold(workload.dataset, snap.path, solver, queries,
                       budget_bytes, &reference);
 
       const struct {
@@ -394,62 +372,35 @@ void Run() {
         const ModeCell* cell;
         bool cold;
       } cells[] = {
-          {"warm-bfs", &warm_bfs, false},
-          {"warm-level-grouped", &warm_lg, false},
-          {"cold-bfs", &cold_bfs, true},
-          {"cold-level-grouped", &cold_lg, true},
-          {"budget-bfs", &budget_bfs, true},
-          {"budget-level-grouped", &budget_lg, true},
+          {"warm-bfs", &warm, false},
+          {"cold-bfs", &cold, true},
+          {"budget-bfs", &budget, true},
       };
       for (const auto& c : cells) {
         EmitModeCell(&json, c.op, solver, dataset_id, objects, *c.cell,
                      c.cold);
         if (!c.cell->identical) {
-          std::fprintf(stderr,
-                       "FATAL: %s (%s on %s) diverged from warm-bfs\n", c.op,
-                       solver, dataset_id.c_str());
+          std::fprintf(stderr, "FATAL: %s (%s on %s) diverged from warm\n",
+                       c.op, solver, dataset_id.c_str());
           std::exit(1);
         }
       }
-
-      const double warm_ratio = warm_bfs.wall.median() > 0.0
-                                    ? warm_lg.wall.median() /
-                                          warm_bfs.wall.median()
-                                    : 0.0;
-      const double cold_speedup = cold_lg.wall.median() > 0.0
-                                      ? cold_bfs.wall.median() /
-                                            cold_lg.wall.median()
-                                      : 0.0;
-      summary_table.AddRow(
-          {FormatWithCommas(objects), solver, FormatDouble(warm_ratio, 3),
-           FormatMillis(cold_bfs.wall.median()),
-           FormatMillis(cold_lg.wall.median()),
-           FormatDouble(cold_speedup, 2) + "x",
-           FormatWithCommas(MedianU64(cold_bfs.major_faults)),
-           FormatWithCommas(MedianU64(cold_lg.major_faults)),
-           FormatWithCommas(budget_lg.budget_trims)});
-      json.BeginObject();
-      json.Key("op").Value("summary");
-      json.Key("solver").Value(solver);
-      json.Key("dataset").Value(dataset_id);
-      json.Key("objects").Value(objects);
-      json.Key("cold_median_speedup").Value(cold_speedup);
-      json.Key("warm_lg_over_bfs").Value(warm_ratio);
-      json.Key("cold_major_faults_bfs")
-          .Value(MedianU64(cold_bfs.major_faults));
-      json.Key("cold_major_faults_lg").Value(MedianU64(cold_lg.major_faults));
-      json.EndObject();
+      batch_table.AddRow({FormatWithCommas(objects), solver,
+                          FormatMillis(warm.wall.median()),
+                          FormatMillis(cold.wall.median()),
+                          FormatMillis(budget.wall.median()),
+                          FormatWithCommas(MedianU64(cold.major_faults)),
+                          FormatWithCommas(budget.budget_trims)});
     }
-    std::remove(bfs.path.c_str());
-    std::remove(lg.path.c_str());
+    std::remove(snap.path.c_str());
   }
   json.EndArray();
   json.EndObject();
 
-  std::printf("\n(a) index preparation per layout\n");
+  std::printf("\n(a) index preparation\n");
   prepare_table.Print();
-  std::printf("\n(b) solver batches: warm parity, cold layout effect\n");
-  summary_table.Print();
+  std::printf("\n(b) solver batches per load mode\n");
+  batch_table.Print();
 
   const std::string path = "BENCH_scalability.json";
   const Status status = WriteTextFile(path, json.TakeString());

@@ -1,7 +1,7 @@
 // S1/S2 — SIMD kernel layer A/B benchmark (see DESIGN.md §12).
 //
 // S1 micro-benchmarks the kernel table directly: the batched squared-MINDIST
-// child scan, run per supported kernel (scalar / sse2 / avx2) over
+// child scan, run per supported kernel (scalar / avx2) over
 // synthetic SoA stripes sized to stay in L1, with calibrated >=250 ms timing
 // rounds like bench_irtree_layout. The headline acceptance number is the
 // avx2-vs-scalar child-scan speedup.
@@ -270,7 +270,7 @@ void EmitMicroCells(JsonWriter* json, TablePrinter* table,
 
 void Run() {
   const BenchConfig config = BenchConfig::FromEnv();
-  std::printf("== S1/S2: SIMD kernel layer, scalar vs sse2 vs avx2 ==\n");
+  std::printf("== S1/S2: SIMD kernel layer, scalar vs avx2 ==\n");
   std::printf("config: %s\n", config.ToString().c_str());
   std::printf("kernels:");
   for (const std::string& name : SupportedKernelNames()) {

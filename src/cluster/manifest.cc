@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/atomic_file.h"
+
 namespace coskq {
 
 namespace {
@@ -269,17 +271,7 @@ StatusOr<ClusterManifest> ClusterManifest::Decode(const std::string& bytes) {
 }
 
 Status ClusterManifest::SaveToFile(const std::string& path) {
-  const std::string bytes = Encode();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) {
-    return Status::IoError("write failed: " + path);
-  }
-  return Status::OK();
+  return WriteFileAtomically(path, Encode());
 }
 
 StatusOr<ClusterManifest> ClusterManifest::LoadFromFile(

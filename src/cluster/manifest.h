@@ -116,6 +116,7 @@ struct ClusterManifest {
   /// Decodes and verifies a full file image. Status on any malformation.
   static StatusOr<ClusterManifest> Decode(const std::string& bytes);
 
+  /// Writes Encode() to `path`, replacing it through WriteFileAtomically.
   Status SaveToFile(const std::string& path);
   static StatusOr<ClusterManifest> LoadFromFile(const std::string& path);
 };

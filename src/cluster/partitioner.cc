@@ -197,7 +197,6 @@ StatusOr<ClusterManifest> BuildShardedCluster(
 
     IrTree::Options tree_options;
     tree_options.max_entries = options.max_entries;
-    tree_options.frozen_layout = options.layout;
     IrTree tree(&shard_dataset, tree_options);
     COSKQ_RETURN_IF_ERROR(SaveSnapshot(&tree, snapshot_path));
     if (!ChecksumFile(snapshot_path, &entry.snapshot_checksum,

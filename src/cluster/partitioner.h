@@ -8,7 +8,6 @@
 
 #include "cluster/manifest.h"
 #include "data/dataset.h"
-#include "index/frozen_layout.h"
 #include "util/status.h"
 
 namespace coskq {
@@ -39,8 +38,6 @@ struct BuildClusterOptions {
   uint32_t num_shards = 4;
   /// IR-tree fan-out for the per-shard indexes.
   int max_entries = 32;
-  /// Frozen body layout of the per-shard snapshots.
-  FrozenLayout layout = FrozenLayout::kBfs;
 };
 
 /// Partitions `dataset`, writes one dataset file ("shard_%04u.txt") and one

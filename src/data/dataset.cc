@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 
+#include "util/atomic_file.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -191,25 +192,31 @@ uint64_t Dataset::ContentChecksum() const {
 }
 
 Status Dataset::SaveToFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  // max_digits10 makes the coordinate round-trip bit-exact.
-  out.precision(std::numeric_limits<double>::max_digits10);
-  const size_t n = NumObjects();
-  for (size_t i = 0; i < n; ++i) {
-    const SpatialObject& obj = objects_[i];
-    out << obj.location.x << ' ' << obj.location.y;
-    for (TermId t : obj.keywords) {
-      out << ' ' << vocab_.TermString(t);
+  return WriteFileAtomically(path, [this](int fd) {
+    // Formatted in ~1 MiB chunks, each written out as it fills.
+    constexpr std::streamoff kChunkBytes = 1 << 20;
+    std::ostringstream out;
+    // max_digits10 makes the coordinate round-trip bit-exact.
+    out.precision(std::numeric_limits<double>::max_digits10);
+    const auto flush = [&out, fd] {
+      const std::string chunk = out.str();
+      out.str("");
+      return WriteFully(fd, chunk.data(), chunk.size());
+    };
+    const size_t n = NumObjects();
+    for (size_t i = 0; i < n; ++i) {
+      const SpatialObject& obj = objects_[i];
+      out << obj.location.x << ' ' << obj.location.y;
+      for (TermId t : obj.keywords) {
+        out << ' ' << vocab_.TermString(t);
+      }
+      out << '\n';
+      if (out.tellp() >= kChunkBytes && !flush()) {
+        return false;
+      }
     }
-    out << '\n';
-  }
-  if (!out) {
-    return Status::IoError("write failed: " + path);
-  }
-  return Status::OK();
+    return flush();
+  });
 }
 
 namespace {

@@ -155,7 +155,8 @@ class Dataset {
   /// once. Safe to call from concurrent readers.
   uint64_t ContentChecksum() const;
 
-  /// Serialization: one object per line, "x y word1 word2 ...".
+  /// Serialization: one object per line, "x y word1 word2 ...". SaveToFile
+  /// replaces `path` through WriteFileAtomically.
   Status SaveToFile(const std::string& path) const;
   static StatusOr<Dataset> LoadFromFile(const std::string& path);
 

@@ -8,7 +8,6 @@
 #include <atomic>
 #include <bit>
 #include <mutex>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -17,34 +16,6 @@
 #include "data/term_set.h"
 
 namespace coskq {
-
-/// Physical placement of the frozen body's node region (DESIGN.md §14).
-/// Both layouts keep the same BFS *slot numbering* — slot k means the same
-/// node either way, children stay a contiguous slot range, and every
-/// traversal visits identical nodes in identical order — they differ only in
-/// where slot k's bytes live:
-///
-///  * kBfs: the snapshot-v1 byte layout. Five flat sections (records, then
-///    the four MBR lanes), each a plain array indexed by slot.
-///  * kLevelGrouped: slots are tiled into groups of 64; each group is one
-///    4096-byte page holding its 64 records AND their four MBR lanes.
-///    A parent's child block (fan-out <= 64 after a level-grouped freeze
-///    touches at most 2 groups) is then 1-2 page faults on a cold mapping
-///    instead of 5 (records + 4 scattered MBR sections).
-///
-/// The layout id is carried in the snapshot header (v2+); v1 snapshots are
-/// implicitly kBfs.
-enum class FrozenLayout : uint32_t {
-  kBfs = 0,
-  kLevelGrouped = 1,
-};
-
-/// "bfs" / "level-grouped".
-const char* FrozenLayoutName(FrozenLayout layout);
-
-/// Parses FrozenLayoutName output (also accepts "lg"). Returns false and
-/// leaves *out untouched on an unknown name.
-bool FrozenLayoutFromName(const std::string& name, FrozenLayout* out);
 
 namespace internal_index {
 
@@ -87,18 +58,8 @@ static_assert(sizeof(FrozenNodeRecord) == 32,
 static_assert(std::is_trivially_copyable<FrozenNodeRecord>::value,
               "FrozenNodeRecord must be memcpy-safe");
 
-/// Node-region tiling: 64 slots per group. One level-grouped group is
-/// 64 records (2048 B) + 4 MBR lanes of 64 doubles (512 B each) = exactly
-/// 4096 B — one page on every platform we target.
-inline constexpr uint32_t kGroupShift = 6;
-inline constexpr uint32_t kGroupSlots = 1u << kGroupShift;  // 64
-inline constexpr uint32_t kGroupMask = kGroupSlots - 1;
-inline constexpr size_t kGroupBytes =
-    kGroupSlots * sizeof(FrozenNodeRecord) + 4 * kGroupSlots * sizeof(double);
-static_assert(kGroupBytes == 4096, "one level-grouped group is one page");
-
-/// Element counts of the variable-size body sections; together with the
-/// layout they determine every section offset.
+/// Element counts of the variable-size body sections; they determine every
+/// section offset.
 struct BodyCounts {
   uint32_t num_nodes = 0;
   uint32_t num_leaf_entries = 0;
@@ -113,43 +74,24 @@ struct BodyCounts {
   uint32_t num_postings = 0;
 };
 
-/// Byte offsets of every section inside a frozen body, for either layout.
-/// The node region (records + MBR lanes) is addressed through per-lane
-/// (offset, stride) descriptors with the single formula
-///
-///   addr = body + lane_off + (slot >> kGroupShift) * stride
-///               + (slot & kGroupMask) * element_size
-///
-/// kBfs is the degenerate case (each lane its own flat section; stride =
-/// bytes of 64 elements), kLevelGrouped the paged case (all lanes share
-/// stride kGroupBytes and interleave within each group). The term arena,
-/// the leaf-entry arrays and the posting file are flat contiguous sections
-/// in both layouts.
+/// Byte offsets of the body sections (snapshot v4, DESIGN.md §11): each a
+/// flat array indexed by slot or entry, in this order, each 8-byte aligned.
 struct BodyLayout {
-  FrozenLayout layout = FrozenLayout::kBfs;
-
-  // Node region: [0, node_region_bytes).
-  size_t node_region_bytes = 0;
-  size_t rec_off = 0;
-  size_t rec_stride = 0;
+  size_t nodes_off = 0;
   size_t min_x_off = 0;
   size_t min_y_off = 0;
   size_t max_x_off = 0;
   size_t max_y_off = 0;
-  size_t mbr_stride = 0;  // shared by the four MBR lanes
-
-  // Flat tail sections (each 8-byte aligned).
   size_t terms_off = 0;
   size_t leaf_ids_off = 0;
   size_t leaf_x_off = 0;
   size_t leaf_y_off = 0;
-  size_t leaf_sigs_off = 0;
   size_t post_begin_off = 0;
   size_t post_entries_off = 0;
 
   size_t total_bytes = 0;
 
-  static BodyLayout Make(FrozenLayout layout, const BodyCounts& counts);
+  static BodyLayout Make(const BodyCounts& counts);
 };
 
 /// The frozen IR-tree: every array the flat traversals touch, resolved
@@ -157,36 +99,28 @@ struct BodyLayout {
 /// the body of an index snapshot (see snapshot.cc), so saving is a single
 /// write and loading can point straight into an mmap.
 ///
-/// Node records and their MBR lanes are reached through the inline slot
-/// accessors below (layout-dependent placement); the term arena, the
-/// leaf-entry arrays and the posting file stay plain flat pointers:
+///  * nodes[slot]                     — node records in BFS slot order.
+///  * min_x/min_y/max_x/max_y[slot]   — the node MBRs as four SoA lanes, so
+///    a parent's per-child MINDIST scan reads four contiguous runs.
 ///  * terms[...]                      — term arena: the node summaries as
 ///    sorted spans.
-///  * leaf_ids/leaf_x/leaf_y/leaf_sigs[i] — leaf entries packed in traversal
-///    order: object id, location and Bloom signature, so a leaf scan never
-///    touches the Dataset.
+///  * leaf_ids/leaf_x/leaf_y[i]       — leaf entries packed in traversal
+///    order: object id and location, so a leaf scan never touches the
+///    Dataset.
 ///  * post_begin/post_entries         — the term-major posting file: the
 ///    ascending leaf-entry indices of every term (see postings()). A leaf
 ///    entry's keyword test is "e lies in the run of t", and the run of t
 ///    inside a leaf is a sub-run (see LeafRun).
 struct FrozenView {
-  /// Start of the body buffer (node region is at offset 0).
-  const uint8_t* body = nullptr;
-
-  // Node-region lane descriptors (see BodyLayout).
-  size_t rec_off = 0;
-  size_t rec_stride = 0;
-  size_t min_x_off = 0;
-  size_t min_y_off = 0;
-  size_t max_x_off = 0;
-  size_t max_y_off = 0;
-  size_t mbr_stride = 0;
-
+  const FrozenNodeRecord* nodes = nullptr;
+  const double* min_x = nullptr;
+  const double* min_y = nullptr;
+  const double* max_x = nullptr;
+  const double* max_y = nullptr;
   const TermId* terms = nullptr;
   const ObjectId* leaf_ids = nullptr;
   const double* leaf_x = nullptr;
   const double* leaf_y = nullptr;
-  const uint64_t* leaf_sigs = nullptr;
   const uint32_t* post_begin = nullptr;
   const uint32_t* post_entries = nullptr;
 
@@ -197,36 +131,9 @@ struct FrozenView {
   uint32_t num_postings = 0;
   uint32_t height = 0;
 
-  FrozenLayout layout = FrozenLayout::kBfs;
   /// True when the body is a cold (non-populated) mapping; traversals swap
   /// the blind cache-line prefetch for page-granular madvise hints.
   bool cold = false;
-
-  /// Pointer to slot's record; *contiguous* only for span(slot, n) records.
-  const FrozenNodeRecord* node_ptr(uint32_t slot) const {
-    return reinterpret_cast<const FrozenNodeRecord*>(
-        body + rec_off +
-        static_cast<size_t>(slot >> kGroupShift) * rec_stride +
-        static_cast<size_t>(slot & kGroupMask) * sizeof(FrozenNodeRecord));
-  }
-  const FrozenNodeRecord& node(uint32_t slot) const { return *node_ptr(slot); }
-
-  const double* min_x_ptr(uint32_t slot) const { return lane(min_x_off, slot); }
-  const double* min_y_ptr(uint32_t slot) const { return lane(min_y_off, slot); }
-  const double* max_x_ptr(uint32_t slot) const { return lane(max_x_off, slot); }
-  const double* max_y_ptr(uint32_t slot) const { return lane(max_y_off, slot); }
-  double min_x(uint32_t slot) const { return *min_x_ptr(slot); }
-  double min_y(uint32_t slot) const { return *min_y_ptr(slot); }
-  double max_x(uint32_t slot) const { return *max_x_ptr(slot); }
-  double max_y(uint32_t slot) const { return *max_y_ptr(slot); }
-
-  /// How many slots starting at `slot` (capped at `remaining`) are
-  /// guaranteed contiguous in every node lane: the rest of slot's group.
-  /// Chunking scans by span() makes kernel calls layout-agnostic.
-  uint32_t span(uint32_t slot, uint32_t remaining) const {
-    const uint32_t in_group = kGroupSlots - (slot & kGroupMask);
-    return remaining < in_group ? remaining : in_group;
-  }
 
   const TermId* node_terms(const FrozenNodeRecord& n) const {
     return terms + n.term_begin;
@@ -254,14 +161,6 @@ struct FrozenView {
     auto [first, last] = postings(t);
     first = std::lower_bound(first, last, begin);
     return {first, std::lower_bound(first, last, end)};
-  }
-
- private:
-  const double* lane(size_t lane_off, uint32_t slot) const {
-    return reinterpret_cast<const double*>(
-        body + lane_off +
-        static_cast<size_t>(slot >> kGroupShift) * mbr_stride +
-        static_cast<size_t>(slot & kGroupMask) * sizeof(double));
   }
 };
 
@@ -315,7 +214,7 @@ struct FrozenStore {
 
   FrozenView view;
 
-  /// Heap-owned body buffer (layout identical to the snapshot body).
+  /// Heap-owned body buffer (identical to the snapshot body).
   std::vector<uint8_t> owned;
 
   /// When loaded via mmap: base and length of the whole mapped file (the
@@ -328,8 +227,6 @@ struct FrozenStore {
   /// writes exactly these bytes.
   const uint8_t* body = nullptr;
   size_t body_bytes = 0;
-
-  FrozenLayout layout = FrozenLayout::kBfs;
 
   /// Out-of-core mode (cold mmap loads only): when memory_budget_bytes is
   /// non-zero, readers periodically sample the body's resident pages via
@@ -346,14 +243,14 @@ struct FrozenStore {
   /// a time do the trim.
   void MaybeEnforceBudget();
 
-  /// Body size in bytes for the given layout and array counts.
-  static size_t BodyBytes(FrozenLayout layout, const BodyCounts& counts);
+  /// Body size in bytes for the given array counts.
+  static size_t BodyBytes(const BodyCounts& counts);
 
   /// Points `view` at the arrays inside `body_bytes_ptr` (which must hold
   /// BodyBytes bytes, 8-byte aligned), records the counts, and remembers
   /// the body extent for SaveSnapshot.
-  void BindView(FrozenLayout layout, const uint8_t* body_bytes_ptr,
-                const BodyCounts& counts, uint32_t height);
+  void BindView(const uint8_t* body_bytes_ptr, const BodyCounts& counts,
+                uint32_t height);
 
   /// The counts the view was bound with.
   BodyCounts counts() const {

@@ -762,6 +762,11 @@ void AppendDeltaRangeRelevant(const Dataset& dataset, const DeltaTree& delta,
 void IrTree::RangeRelevant(const Circle& circle, const TermSet& query_terms,
                            std::vector<ObjectId>* out,
                            std::vector<uint32_t>* visit_log) const {
+  // A disk of negative radius is empty on every path (the delta scan's
+  // point test alone would accept points within |radius|).
+  if (circle.radius < 0.0) {
+    return;
+  }
   ReadGuard guard(this);
   const DeltaTree* delta = PinnedDelta();
   if (UseFrozen(delta)) {
@@ -811,6 +816,9 @@ void IrTree::RangeRelevant(const Circle& circle, const TermSet& query_terms,
 void IrTree::RangeRelevant(const Circle& circle, const TermSet& query_terms,
                            std::vector<ObjectId>* out,
                            SearchScratch* scratch) const {
+  if (circle.radius < 0.0) {
+    return;  // Empty disk, as in the unmasked entry.
+  }
   ReadGuard guard(this);
   uint64_t submask = 0;
   if (scratch == nullptr || !scratch->mask_active() ||
@@ -1118,7 +1126,7 @@ IrTree::RelevantStream::RelevantStream(const IrTree* tree, const Point& origin,
   if (tree->UseFrozen(delta)) {
     const FrozenView& v = tree->frozen_->view;
     impl_->fv = &v;
-    const FrozenNodeRecord& root = v.node(0);
+    const FrozenNodeRecord& root = v.nodes[0];
     const bool root_relevant =
         impl_->masked
             ? (root.sig & impl_->sub_sig) != 0 &&
@@ -1130,7 +1138,7 @@ IrTree::RelevantStream::RelevantStream(const IrTree* tree, const Point& origin,
     if (root_relevant) {
       // Same arithmetic as Rect::MinDistance on the (non-empty) root MBR.
       impl_->queue.push(Impl::QueueEntry{
-          Rect(v.min_x(0), v.min_y(0), v.max_x(0), v.max_y(0))
+          Rect(v.min_x[0], v.min_y[0], v.max_x[0], v.max_y[0])
               .MinDistance(origin),
           &root, kInvalidObjectId, PrefetchHint(root)});
     }
@@ -1226,7 +1234,7 @@ IrTree::RelevantStream::Impl::NextFromTree() {
         const uint32_t first = node.first_child;
         const uint32_t last = first + node.entry_count;
         for (uint32_t c = first; c < last; ++c) {
-          const FrozenNodeRecord& child = v.node(c);
+          const FrozenNodeRecord& child = v.nodes[c];
           bool relevant;
           if (masked) {
             uint64_t node_mask = 0;
@@ -1242,7 +1250,7 @@ IrTree::RelevantStream::Impl::NextFromTree() {
                                           this->query_terms);
           }
           if (relevant) {
-            const Rect mbr(v.min_x(c), v.min_y(c), v.max_x(c), v.max_y(c));
+            const Rect mbr(v.min_x[c], v.min_y[c], v.max_x[c], v.max_y[c]);
             const double d = masked && from_origin
                                  ? scratch->NodeMinDistance(child.id, mbr)
                                  : mbr.MinDistance(this->origin);
@@ -1369,7 +1377,6 @@ IndexMemoryStats IrTree::MemoryStats() const {
   if (frozen_ == nullptr) {
     return stats;
   }
-  stats.layout = frozen_->layout;
   stats.cold = frozen_->view.cold;
   stats.body_bytes = frozen_->body_bytes;
   stats.memory_budget_bytes = frozen_->memory_budget_bytes;

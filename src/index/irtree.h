@@ -34,8 +34,6 @@ class SnapshotAccess;
 /// Paging / residency statistics of the frozen body (DESIGN.md §14). For a
 /// heap-built (non-mmap) tree only the process-wide fields are meaningful.
 struct IndexMemoryStats {
-  /// Layout of the frozen body ("bfs" until Freeze() ran).
-  FrozenLayout layout = FrozenLayout::kBfs;
   /// True for a cold (non-populated) snapshot mapping.
   bool cold = false;
   /// Frozen body size in bytes (0 until frozen).
@@ -106,11 +104,6 @@ class IrTree {
   struct Options {
     /// Maximum fan-out per node.
     int max_entries = 32;
-    /// Physical layout Freeze() emits for the frozen body (and thus for
-    /// snapshots saved from this tree). Refreeze() inherits it, and
-    /// snapshot-loaded trees adopt the layout recorded in the file so a
-    /// later refreeze preserves it. Query results are layout-independent.
-    FrozenLayout frozen_layout = FrozenLayout::kBfs;
   };
 
   /// Builds the tree over all objects of `dataset` with STR bulk loading.
@@ -241,12 +234,13 @@ class IrTree {
                               TermSet* missing, SearchScratch* scratch) const;
 
   /// Appends to `out` every object inside the closed disk whose keyword set
-  /// intersects `query_terms`. With a non-empty delta, frozen-base matches
-  /// come first (traversal order), then delta matches in ascending id order
-  /// — the set is exact; callers treat it as unordered. On a frozen tree a
-  /// selective call is answered from the posting file instead of the tree
-  /// walk, with the identical output in the identical order (DESIGN.md
-  /// §11); calls that ask for a visit log always walk the tree.
+  /// intersects `query_terms`; a disk of negative radius is empty. With a
+  /// non-empty delta, frozen-base matches come first (traversal order),
+  /// then delta matches in ascending id order — the set is exact; callers
+  /// treat it as unordered. On a frozen tree a selective call is answered
+  /// from the posting file instead of the tree walk, with the identical
+  /// output in the identical order (DESIGN.md §11); calls that ask for a
+  /// visit log always walk the tree.
   void RangeRelevant(const Circle& circle, const TermSet& query_terms,
                      std::vector<ObjectId>* out) const;
 
@@ -460,12 +454,13 @@ class IrTree {
   /// apply before the exact cached-mask test. Covers the frozen base only —
   /// delta inserts carry their signatures in DeltaTree::insert_sigs.
   std::vector<uint64_t> obj_sigs_;
-  /// Total set bits across the object signatures (leaf_sigs for a
-  /// snapshot-loaded tree — the same multiset). The mean density feeds the
-  /// masked-range prune-rate estimate in RangeRelevant: dense signatures
-  /// (keyword-heavy corpora) make the Bloom pre-filter worthless, and the
-  /// dispatcher then takes the plain scan instead. Frozen-base-only; the
-  /// estimate ignores the (bounded-size) delta.
+  /// Total set bits across the object signatures (for a snapshot-loaded
+  /// tree, recomputed from the objects its leaf entries name — the same
+  /// multiset). The mean density feeds the masked-range prune-rate estimate
+  /// in RangeRelevant: dense signatures (keyword-heavy corpora) make the
+  /// Bloom pre-filter worthless, and the dispatcher then takes the plain
+  /// scan instead. Frozen-base-only; the estimate ignores the
+  /// (bounded-size) delta.
   uint64_t obj_sig_bits_sum_ = 0;
   /// Logical live count (atomic: mutators bump it while queries read it;
   /// queries use it only for emptiness checks and the prune-rate estimate,

@@ -4,10 +4,10 @@
 // frozen_layout.h): breadth-first node records, structure-of-arrays node
 // MBRs so a parent's per-child MINDIST scan reads four contiguous double
 // ranges, a term arena holding every node summary as a sorted span, leaf
-// entries (id, location, Bloom signature) packed in traversal order so leaf
-// scans never touch the Dataset, and a term-major posting file (ascending
-// leaf-entry indices per term) that answers every leaf-level keyword test
-// and, for selective queries, whole range retrievals.
+// entries (id, location) packed in traversal order so leaf scans never
+// touch the Dataset, and a term-major posting file (ascending leaf-entry
+// indices per term) that answers every leaf-level keyword test and, for
+// selective queries, whole range retrievals.
 //
 // Bit-identity contract: every frozen traversal mirrors its pointer-tree
 // counterpart exactly — same child visit order (BFS slots preserve the
@@ -47,34 +47,8 @@ using internal_index::FrozenNodeRecord;
 using internal_index::FrozenStore;
 using internal_index::FrozenView;
 using internal_index::KernelOps;
-using internal_index::kGroupBytes;
-using internal_index::kGroupMask;
-using internal_index::kGroupShift;
-using internal_index::kGroupSlots;
 using internal_index::PrefetchHint;
 using internal_index::PrefetchNextPop;
-
-const char* FrozenLayoutName(FrozenLayout layout) {
-  switch (layout) {
-    case FrozenLayout::kBfs:
-      return "bfs";
-    case FrozenLayout::kLevelGrouped:
-      return "level-grouped";
-  }
-  return "unknown";
-}
-
-bool FrozenLayoutFromName(const std::string& name, FrozenLayout* out) {
-  if (name == "bfs") {
-    *out = FrozenLayout::kBfs;
-    return true;
-  }
-  if (name == "level-grouped" || name == "lg") {
-    *out = FrozenLayout::kLevelGrouped;
-    return true;
-  }
-  return false;
-}
 
 namespace internal_index {
 
@@ -84,49 +58,25 @@ constexpr size_t Align8(size_t n) { return (n + 7) & ~size_t{7}; }
 
 }  // namespace
 
-BodyLayout BodyLayout::Make(FrozenLayout layout, const BodyCounts& counts) {
-  const uint32_t num_nodes = counts.num_nodes;
-  const uint32_t num_leaf_entries = counts.num_leaf_entries;
+BodyLayout BodyLayout::Make(const BodyCounts& counts) {
+  const size_t nodes = counts.num_nodes;
+  const size_t entries = counts.num_leaf_entries;
   BodyLayout lay;
-  lay.layout = layout;
   size_t off = 0;
   const auto section = [&off](size_t bytes) {
     const size_t begin = off;
     off += Align8(bytes);
     return begin;
   };
-  if (layout == FrozenLayout::kBfs) {
-    // The snapshot-v1 byte layout, expressed as lane descriptors: each lane
-    // a flat section, stride = one group's worth of elements, so
-    // off + (slot>>6)*stride + (slot&63)*elt == off + slot*elt exactly.
-    lay.rec_off = section(size_t{num_nodes} * sizeof(FrozenNodeRecord));
-    lay.rec_stride = kGroupSlots * sizeof(FrozenNodeRecord);
-    lay.min_x_off = section(size_t{num_nodes} * sizeof(double));
-    lay.min_y_off = section(size_t{num_nodes} * sizeof(double));
-    lay.max_x_off = section(size_t{num_nodes} * sizeof(double));
-    lay.max_y_off = section(size_t{num_nodes} * sizeof(double));
-    lay.mbr_stride = kGroupSlots * sizeof(double);
-  } else {
-    // Level-grouped: the node region is a sequence of 4096-byte groups,
-    // each holding 64 records followed by their four MBR lanes. The tail
-    // group is zero-padded to full size so the body is deterministic.
-    const size_t groups =
-        (size_t{num_nodes} + kGroupSlots - 1) / kGroupSlots;
-    lay.rec_off = 0;
-    lay.rec_stride = kGroupBytes;
-    lay.min_x_off = kGroupSlots * sizeof(FrozenNodeRecord);
-    lay.min_y_off = lay.min_x_off + kGroupSlots * sizeof(double);
-    lay.max_x_off = lay.min_y_off + kGroupSlots * sizeof(double);
-    lay.max_y_off = lay.max_x_off + kGroupSlots * sizeof(double);
-    lay.mbr_stride = kGroupBytes;
-    off = groups * kGroupBytes;
-  }
-  lay.node_region_bytes = off;
+  lay.nodes_off = section(nodes * sizeof(FrozenNodeRecord));
+  lay.min_x_off = section(nodes * sizeof(double));
+  lay.min_y_off = section(nodes * sizeof(double));
+  lay.max_x_off = section(nodes * sizeof(double));
+  lay.max_y_off = section(nodes * sizeof(double));
   lay.terms_off = section(size_t{counts.num_terms} * sizeof(TermId));
-  lay.leaf_ids_off = section(size_t{num_leaf_entries} * sizeof(ObjectId));
-  lay.leaf_x_off = section(size_t{num_leaf_entries} * sizeof(double));
-  lay.leaf_y_off = section(size_t{num_leaf_entries} * sizeof(double));
-  lay.leaf_sigs_off = section(size_t{num_leaf_entries} * sizeof(uint64_t));
+  lay.leaf_ids_off = section(entries * sizeof(ObjectId));
+  lay.leaf_x_off = section(entries * sizeof(double));
+  lay.leaf_y_off = section(entries * sizeof(double));
   lay.post_begin_off =
       section((size_t{counts.num_post_terms} + 1) * sizeof(uint32_t));
   lay.post_entries_off =
@@ -141,44 +91,36 @@ FrozenStore::~FrozenStore() {
   }
 }
 
-size_t FrozenStore::BodyBytes(FrozenLayout layout, const BodyCounts& counts) {
-  return BodyLayout::Make(layout, counts).total_bytes;
+size_t FrozenStore::BodyBytes(const BodyCounts& counts) {
+  return BodyLayout::Make(counts).total_bytes;
 }
 
-void FrozenStore::BindView(FrozenLayout lay_kind, const uint8_t* body_ptr,
-                           const BodyCounts& counts, uint32_t height) {
+void FrozenStore::BindView(const uint8_t* body_ptr, const BodyCounts& counts,
+                           uint32_t height) {
   COSKQ_CHECK_EQ(reinterpret_cast<uintptr_t>(body_ptr) % 8, 0u)
       << "frozen body must be 8-byte aligned";
-  const BodyLayout lay = BodyLayout::Make(lay_kind, counts);
-  layout = lay_kind;
+  const BodyLayout lay = BodyLayout::Make(counts);
+  const auto at = [body_ptr](size_t off) { return body_ptr + off; };
   body = body_ptr;
   body_bytes = lay.total_bytes;
-  view.body = body_ptr;
-  view.rec_off = lay.rec_off;
-  view.rec_stride = lay.rec_stride;
-  view.min_x_off = lay.min_x_off;
-  view.min_y_off = lay.min_y_off;
-  view.max_x_off = lay.max_x_off;
-  view.max_y_off = lay.max_y_off;
-  view.mbr_stride = lay.mbr_stride;
-  view.terms = reinterpret_cast<const TermId*>(body_ptr + lay.terms_off);
-  view.leaf_ids =
-      reinterpret_cast<const ObjectId*>(body_ptr + lay.leaf_ids_off);
-  view.leaf_x = reinterpret_cast<const double*>(body_ptr + lay.leaf_x_off);
-  view.leaf_y = reinterpret_cast<const double*>(body_ptr + lay.leaf_y_off);
-  view.leaf_sigs =
-      reinterpret_cast<const uint64_t*>(body_ptr + lay.leaf_sigs_off);
-  view.post_begin =
-      reinterpret_cast<const uint32_t*>(body_ptr + lay.post_begin_off);
+  view.nodes = reinterpret_cast<const FrozenNodeRecord*>(at(lay.nodes_off));
+  view.min_x = reinterpret_cast<const double*>(at(lay.min_x_off));
+  view.min_y = reinterpret_cast<const double*>(at(lay.min_y_off));
+  view.max_x = reinterpret_cast<const double*>(at(lay.max_x_off));
+  view.max_y = reinterpret_cast<const double*>(at(lay.max_y_off));
+  view.terms = reinterpret_cast<const TermId*>(at(lay.terms_off));
+  view.leaf_ids = reinterpret_cast<const ObjectId*>(at(lay.leaf_ids_off));
+  view.leaf_x = reinterpret_cast<const double*>(at(lay.leaf_x_off));
+  view.leaf_y = reinterpret_cast<const double*>(at(lay.leaf_y_off));
+  view.post_begin = reinterpret_cast<const uint32_t*>(at(lay.post_begin_off));
   view.post_entries =
-      reinterpret_cast<const uint32_t*>(body_ptr + lay.post_entries_off);
+      reinterpret_cast<const uint32_t*>(at(lay.post_entries_off));
   view.num_nodes = counts.num_nodes;
   view.num_leaf_entries = counts.num_leaf_entries;
   view.num_terms = counts.num_terms;
   view.num_post_terms = counts.num_post_terms;
   view.num_postings = counts.num_postings;
   view.height = height;
-  view.layout = lay_kind;
 }
 
 void FrozenStore::MaybeEnforceBudget() {
@@ -206,9 +148,9 @@ void FrozenStore::MaybeEnforceBudget() {
   // prefix of the node region (the upper levels every traversal re-reads)
   // up to half the budget. Purely advisory — dropped pages refault from the
   // read-only snapshot file, so results are unaffected.
-  const BodyLayout lay = BodyLayout::Make(layout, counts());
+  const size_t node_region_bytes = BodyLayout::Make(counts()).terms_off;
   const size_t keep =
-      std::min<size_t>(lay.node_region_bytes, memory_budget_bytes / 2);
+      std::min<size_t>(node_region_bytes, memory_budget_bytes / 2);
   AdviseDontNeed(body + keep, body_bytes - keep);
   budget_trims.fetch_add(1, std::memory_order_relaxed);
 }
@@ -231,26 +173,23 @@ inline void ScanChildSquaredDistances(const KernelOps& kernels,
                                       const FrozenView& v, uint32_t first,
                                       uint32_t count, const Point& p,
                                       double* out) {
-  // [first, first + count) must lie within one slot group (see
-  // FrozenView::span): that is the contiguity unit of the SoA lanes under
-  // both layouts.
-  kernels.child_squared_distances(v.min_x_ptr(first), v.min_y_ptr(first),
-                                  v.max_x_ptr(first), v.max_y_ptr(first),
-                                  count, p.x, p.y, out);
+  kernels.child_squared_distances(v.min_x + first, v.min_y + first,
+                                  v.max_x + first, v.max_y + first, count,
+                                  p.x, p.y, out);
 }
 
 /// MINDIST from `p` to the MBR of the node at `slot` (same arithmetic).
 inline double NodeMinDist(const FrozenView& v, uint32_t slot, const Point& p) {
   const double dx =
-      std::max(std::max(v.min_x(slot) - p.x, 0.0), p.x - v.max_x(slot));
+      std::max(std::max(v.min_x[slot] - p.x, 0.0), p.x - v.max_x[slot]);
   const double dy =
-      std::max(std::max(v.min_y(slot) - p.y, 0.0), p.y - v.max_y(slot));
+      std::max(std::max(v.min_y[slot] - p.y, 0.0), p.y - v.max_y[slot]);
   return std::sqrt(dx * dx + dy * dy);
 }
 
-/// Stack buffer size of the child-distance scans. Chunks come from
-/// FrozenView::span, which never exceeds one slot group.
-constexpr uint32_t kScanChunk = kGroupSlots;
+/// Stack buffer size of the unmasked child-distance scan: child blocks are
+/// scanned in chunks of at most this many slots.
+constexpr uint32_t kScanChunk = 64;
 
 }  // namespace
 
@@ -319,32 +258,21 @@ void IrTree::Freeze() {
   counts.num_postings = static_cast<uint32_t>(posting_total);
   const uint32_t num_nodes = counts.num_nodes;
 
-  const FrozenLayout layout = options_.frozen_layout;
   auto store = std::make_unique<FrozenStore>();
-  // Zero-filled so section padding bytes (and the level-grouped tail group)
-  // are deterministic: snapshots of the same tree are byte-for-byte
-  // identical.
-  store->owned.assign(FrozenStore::BodyBytes(layout, counts), 0);
+  // Zero-filled so section padding bytes are deterministic: snapshots of
+  // the same tree are byte-for-byte identical.
+  store->owned.assign(FrozenStore::BodyBytes(counts), 0);
   uint8_t* body = store->owned.data();
-  const BodyLayout lay = BodyLayout::Make(layout, counts);
-  // Mutable mirrors of the FrozenView lane accessors.
-  const auto rec_at = [&](uint32_t slot) -> FrozenNodeRecord* {
-    return reinterpret_cast<FrozenNodeRecord*>(
-        body + lay.rec_off +
-        static_cast<size_t>(slot >> kGroupShift) * lay.rec_stride +
-        static_cast<size_t>(slot & kGroupMask) * sizeof(FrozenNodeRecord));
-  };
-  const auto lane_at = [&](size_t lane_off, uint32_t slot) -> double* {
-    return reinterpret_cast<double*>(
-        body + lane_off +
-        static_cast<size_t>(slot >> kGroupShift) * lay.mbr_stride +
-        static_cast<size_t>(slot & kGroupMask) * sizeof(double));
-  };
+  const BodyLayout lay = BodyLayout::Make(counts);
+  auto* nodes = reinterpret_cast<FrozenNodeRecord*>(body + lay.nodes_off);
+  auto* min_x = reinterpret_cast<double*>(body + lay.min_x_off);
+  auto* min_y = reinterpret_cast<double*>(body + lay.min_y_off);
+  auto* max_x = reinterpret_cast<double*>(body + lay.max_x_off);
+  auto* max_y = reinterpret_cast<double*>(body + lay.max_y_off);
   auto* terms = reinterpret_cast<TermId*>(body + lay.terms_off);
   auto* leaf_ids = reinterpret_cast<ObjectId*>(body + lay.leaf_ids_off);
   auto* leaf_x = reinterpret_cast<double*>(body + lay.leaf_x_off);
   auto* leaf_y = reinterpret_cast<double*>(body + lay.leaf_y_off);
-  auto* leaf_sigs = reinterpret_cast<uint64_t*>(body + lay.leaf_sigs_off);
   auto* post_begin = reinterpret_cast<uint32_t*>(body + lay.post_begin_off);
   auto* post_entries =
       reinterpret_cast<uint32_t*>(body + lay.post_entries_off);
@@ -369,10 +297,10 @@ void IrTree::Freeze() {
     rec.term_count = static_cast<uint32_t>(n->terms.size());
     std::copy(n->terms.begin(), n->terms.end(), terms + next_term);
     next_term += rec.term_count;
-    *lane_at(lay.min_x_off, slot) = n->mbr.min_x;
-    *lane_at(lay.min_y_off, slot) = n->mbr.min_y;
-    *lane_at(lay.max_x_off, slot) = n->mbr.max_x;
-    *lane_at(lay.max_y_off, slot) = n->mbr.max_y;
+    min_x[slot] = n->mbr.min_x;
+    min_y[slot] = n->mbr.min_y;
+    max_x[slot] = n->mbr.max_x;
+    max_y[slot] = n->mbr.max_y;
     if (n->is_leaf) {
       rec.flags = 1;
       rec.entry_begin = next_leaf;
@@ -382,7 +310,6 @@ void IrTree::Freeze() {
         leaf_ids[next_leaf] = id;
         leaf_x[next_leaf] = obj.location.x;
         leaf_y[next_leaf] = obj.location.y;
-        leaf_sigs[next_leaf] = obj_sigs_[id];
         for (TermId t : obj.keywords) {
           // Holds unless an object sits in two leaves (the unchecked
           // pointer-tree insert path): then df, counted per object, is short.
@@ -396,13 +323,13 @@ void IrTree::Freeze() {
       rec.entry_count = static_cast<uint16_t>(n->children.size());
       next_child += static_cast<uint32_t>(n->children.size());
     }
-    *rec_at(slot) = rec;
+    nodes[slot] = rec;
   }
   COSKQ_CHECK_EQ(next_child, num_nodes);
   COSKQ_CHECK_EQ(next_term, counts.num_terms);
   COSKQ_CHECK_EQ(next_leaf, counts.num_leaf_entries);
 
-  store->BindView(layout, body, counts, static_cast<uint32_t>(Height()));
+  store->BindView(body, counts, static_cast<uint32_t>(Height()));
   frozen_ = std::move(store);
   RebuildFrozenLive();
 }
@@ -548,13 +475,15 @@ IrTree::IrTree(const Dataset* dataset, const Options& options,
   COSKQ_CHECK(frozen_ != nullptr);
   size_ = frozen_->view.num_leaf_entries;
   next_node_id_ = frozen_->view.num_nodes;
-  // leaf_sigs holds the same signature multiset obj_sigs_ would, so the
-  // masked-range prune-rate estimate matches a dataset-built tree exactly.
-  for (uint32_t i = 0; i < frozen_->view.num_leaf_entries; ++i) {
-    obj_sig_bits_sum_ +=
-        static_cast<uint64_t>(std::popcount(frozen_->view.leaf_sigs[i]));
-  }
   RebuildFrozenLive();
+  // The signatures of the objects the leaf entries name (read in id order),
+  // so the masked-range prune-rate estimate matches a dataset-built tree's.
+  for (ObjectId id = 0; id < frozen_live_.size(); ++id) {
+    if (frozen_live_[id] != 0) {
+      obj_sig_bits_sum_ += static_cast<uint64_t>(
+          std::popcount(TermSetSignature(dataset_->object(id).keywords)));
+    }
+  }
 }
 
 ObjectId IrTree::FrozenKeywordNn(const Point& p, TermId t, double* distance,
@@ -575,9 +504,9 @@ ObjectId IrTree::FrozenKeywordNn(const Point& p, TermId t, double* distance,
                       std::greater<QueueEntry>>
       queue;
   if (size_ > 0 &&
-      TermSpanContains(v.node_terms(v.node(0)), v.node(0).term_count, t)) {
-    queue.push(QueueEntry{NodeMinDist(v, 0, p), v.node_ptr(0),
-                          kInvalidObjectId, PrefetchHint(v.node(0))});
+      TermSpanContains(v.node_terms(v.nodes[0]), v.nodes[0].term_count, t)) {
+    queue.push(QueueEntry{NodeMinDist(v, 0, p), v.nodes,
+                          kInvalidObjectId, PrefetchHint(v.nodes[0])});
   }
   double dist_buf[kScanChunk];
   while (!queue.empty()) {
@@ -613,14 +542,13 @@ ObjectId IrTree::FrozenKeywordNn(const Point& p, TermId t, double* distance,
     } else {
       const uint32_t first = node.first_child;
       const uint32_t count = node.entry_count;
-      // Group-aligned chunks: each chunk is contiguous in every lane under
-      // both layouts, and chunk boundaries don't affect push order (chunks
-      // and survivors both ascend in slot order).
+      // Chunk boundaries don't affect push order (chunks and survivors both
+      // ascend in slot order).
       for (uint32_t c0 = 0; c0 < count;) {
-        const uint32_t n = v.span(first + c0, count - c0);
+        const uint32_t n = std::min(kScanChunk, count - c0);
         ScanChildSquaredDistances(kernels, v, first + c0, n, p, dist_buf);
         for (uint32_t i = 0; i < n; ++i) {
-          const FrozenNodeRecord& child = v.node(first + c0 + i);
+          const FrozenNodeRecord& child = v.nodes[first + c0 + i];
           if (TermSpanContains(v.node_terms(child), child.term_count, t)) {
             queue.push(QueueEntry{std::sqrt(dist_buf[i]), &child,
                                   kInvalidObjectId, PrefetchHint(child)});
@@ -659,12 +587,12 @@ ObjectId IrTree::FrozenKeywordNnMasked(const Point& p, TermId t, int slot,
   // QueryDistance memo when anchored at the query origin, exactly like the
   // pointer path (same calls, same hit/miss counters).
   const bool from_origin = p == scratch->origin();
-  if (size_ > 0 && (v.node(0).sig & kw_sig) != 0 &&
-      (scratch->NodeMask(v.node(0).id, v.node_terms(v.node(0)),
-                         v.node(0).term_count) &
+  if (size_ > 0 && (v.nodes[0].sig & kw_sig) != 0 &&
+      (scratch->NodeMask(v.nodes[0].id, v.node_terms(v.nodes[0]),
+                         v.nodes[0].term_count) &
        bit) != 0) {
-    push(HeapEntry{NodeMinDist(v, 0, p), v.node_ptr(0), kInvalidObjectId,
-                   PrefetchHint(v.node(0))});
+    push(HeapEntry{NodeMinDist(v, 0, p), v.nodes, kInvalidObjectId,
+                   PrefetchHint(v.nodes[0])});
   }
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), std::greater<HeapEntry>());
@@ -717,25 +645,18 @@ ObjectId IrTree::FrozenKeywordNnMasked(const Point& p, TermId t, int slot,
       if (sdist.size() < count) {
         sdist.resize(count);
       }
-      // Group-aligned chunks keep every kernel input contiguous under both
-      // layouts; survivors still ascend in slot order across chunks.
-      for (uint32_t c0 = 0; c0 < count;) {
-        const uint32_t chunk = v.span(first + c0, count - c0);
-        const uint32_t n = kernels.child_scan_sig(
-            v.min_x_ptr(first + c0), v.min_y_ptr(first + c0),
-            v.max_x_ptr(first + c0), v.max_y_ptr(first + c0),
-            v.node_ptr(first + c0), chunk, p.x, p.y, kw_sig, sidx.data(),
-            sdist.data());
-        for (uint32_t k = 0; k < n; ++k) {
-          const FrozenNodeRecord& child = v.node(first + c0 + sidx[k]);
-          if ((scratch->NodeMask(child.id, v.node_terms(child),
-                                 child.term_count) &
-               bit) != 0) {
-            push(HeapEntry{std::sqrt(sdist[k]), &child, kInvalidObjectId,
-                           PrefetchHint(child)});
-          }
+      const uint32_t n = kernels.child_scan_sig(
+          v.min_x + first, v.min_y + first, v.max_x + first, v.max_y + first,
+          v.nodes + first, count, p.x, p.y, kw_sig, sidx.data(),
+          sdist.data());
+      for (uint32_t k = 0; k < n; ++k) {
+        const FrozenNodeRecord& child = v.nodes[first + sidx[k]];
+        if ((scratch->NodeMask(child.id, v.node_terms(child),
+                               child.term_count) &
+             bit) != 0) {
+          push(HeapEntry{std::sqrt(sdist[k]), &child, kInvalidObjectId,
+                         PrefetchHint(child)});
         }
-        c0 += chunk;
       }
     }
   }
@@ -760,15 +681,15 @@ constexpr double kPostingScanFactor = 0.25;
 /// planner reads it.
 double EstimatedEntriesInDisk(const FrozenView& v, const Circle& circle) {
   const double r = circle.radius;
-  const double w = std::min(circle.center.x + r, v.max_x(0)) -
-                   std::max(circle.center.x - r, v.min_x(0));
-  const double h = std::min(circle.center.y + r, v.max_y(0)) -
-                   std::max(circle.center.y - r, v.min_y(0));
+  const double w = std::min(circle.center.x + r, v.max_x[0]) -
+                   std::max(circle.center.x - r, v.min_x[0]);
+  const double h = std::min(circle.center.y + r, v.max_y[0]) -
+                   std::max(circle.center.y - r, v.min_y[0]);
   if (w < 0.0 || h < 0.0) {
     return 0.0;
   }
   const double root_area =
-      (v.max_x(0) - v.min_x(0)) * (v.max_y(0) - v.min_y(0));
+      (v.max_x[0] - v.min_x[0]) * (v.max_y[0] - v.min_y[0]);
   const double entries = static_cast<double>(v.num_leaf_entries);
   if (!(root_area > 0.0)) {
     return entries;  // Degenerate MBR: no area to scale by.
@@ -826,8 +747,8 @@ bool IrTree::FrozenRangeFromPostings(const Circle& circle,
   }
   uint64_t examined = 0;
   // The tree walk starts by testing the disk against the root MBR; a disk
-  // that fails it (e.g. a negative radius) has no matches either way.
-  const Rect root{v.min_x(0), v.min_y(0), v.max_x(0), v.max_y(0)};
+  // that fails it has no matches either way.
+  const Rect root{v.min_x[0], v.min_y[0], v.max_x[0], v.max_y[0]};
   if (circle.Intersects(root)) {
     // Entry indices are collected in `out`'s tail, put in entry order —
     // the tree walk's output order — and mapped to ids in place.
@@ -885,9 +806,9 @@ void IrTree::FrozenRangeRelevant(const Circle& circle,
     uint64_t examined = 0;
 
     void Run(uint32_t slot) {
-      const FrozenNodeRecord& node = v.node(slot);
-      const Rect mbr{v.min_x(slot), v.min_y(slot), v.max_x(slot),
-                     v.max_y(slot)};
+      const FrozenNodeRecord& node = v.nodes[slot];
+      const Rect mbr{v.min_x[slot], v.min_y[slot], v.max_x[slot],
+                     v.max_y[slot]};
       if (!circle.Intersects(mbr) ||
           !TermSpanIntersects(v.node_terms(node), node.term_count,
                               query_terms)) {
@@ -942,9 +863,9 @@ void IrTree::FrozenRangeRelevantMasked(const Circle& circle,
     uint64_t examined = 0;
 
     void Run(uint32_t slot) {
-      const FrozenNodeRecord& node = v.node(slot);
-      const Rect mbr{v.min_x(slot), v.min_y(slot), v.max_x(slot),
-                     v.max_y(slot)};
+      const FrozenNodeRecord& node = v.nodes[slot];
+      const Rect mbr{v.min_x[slot], v.min_y[slot], v.max_x[slot],
+                     v.max_y[slot]};
       // Same short-circuit order as the pointer path: geometry, signature,
       // then the cached mask when warm, else the exact early-exit merge
       // with no cache fill.
@@ -999,7 +920,7 @@ void IrTree::CheckFrozenInvariants() const {
   int leaf_depth = -1;
   size_t object_count = 0;
   for (uint32_t slot = 0; slot < v.num_nodes; ++slot) {
-    const FrozenNodeRecord& node = v.node(slot);
+    const FrozenNodeRecord& node = v.nodes[slot];
     COSKQ_CHECK_LT(node.id, v.num_nodes);
     COSKQ_CHECK(!id_seen[node.id]) << "duplicate preorder id";
     id_seen[node.id] = true;
@@ -1043,7 +964,7 @@ void IrTree::CheckFrozenInvariants() const {
   std::vector<Rect> expected_mbr(v.num_nodes);
   std::vector<TermSet> expected_terms(v.num_nodes);
   for (uint32_t i = v.num_nodes; i-- > 0;) {
-    const FrozenNodeRecord& node = v.node(i);
+    const FrozenNodeRecord& node = v.nodes[i];
     Rect mbr;
     TermSet terms;
     if (node.is_leaf()) {
@@ -1053,7 +974,6 @@ void IrTree::CheckFrozenInvariants() const {
         const SpatialObject& obj = dataset_->object(id);
         COSKQ_CHECK_EQ(v.leaf_x[e], obj.location.x);
         COSKQ_CHECK_EQ(v.leaf_y[e], obj.location.y);
-        COSKQ_CHECK_EQ(v.leaf_sigs[e], TermSetSignature(obj.keywords));
         mbr.ExpandToInclude(obj.location);
         TermSetMergeInto(&terms, obj.keywords);
       }
@@ -1064,7 +984,7 @@ void IrTree::CheckFrozenInvariants() const {
         TermSetMergeInto(&terms, expected_terms[c]);
       }
     }
-    COSKQ_CHECK(mbr == Rect(v.min_x(i), v.min_y(i), v.max_x(i), v.max_y(i)))
+    COSKQ_CHECK(mbr == Rect(v.min_x[i], v.min_y[i], v.max_x[i], v.max_y[i]))
         << "frozen MBR mismatch";
     COSKQ_CHECK_EQ(terms.size(), static_cast<size_t>(node.term_count));
     COSKQ_CHECK(
@@ -1111,7 +1031,7 @@ void IrTree::CheckFrozenInvariants() const {
       const FrozenView& v;
       uint32_t next_leaf_entry = 0;
       void Run(const Node* node, uint32_t slot) {
-        const FrozenNodeRecord& rec = v.node(slot);
+        const FrozenNodeRecord& rec = v.nodes[slot];
         COSKQ_CHECK_EQ(rec.id, node->id);
         COSKQ_CHECK_EQ(rec.is_leaf(), node->is_leaf);
         COSKQ_CHECK_EQ(static_cast<size_t>(rec.entry_count),

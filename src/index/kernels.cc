@@ -37,7 +37,7 @@ namespace {
 // Scalar reference.
 //
 // GCC's -O3 happily auto-vectorizes these loops, which would make the
-// "scalar" table a covert SSE2 table and the benchmark A/B meaningless, so
+// "scalar" table a covert vector table and the benchmark A/B meaningless, so
 // the reference implementations explicitly opt out of the vectorizers. The
 // generated code is still the exact max/max/mul/add sequence the frozen
 // paths always used.
@@ -94,8 +94,11 @@ constexpr KernelOps kScalarOps = {
 #if COSKQ_KERNELS_X86
 
 // ---------------------------------------------------------------------------
-// SSE2 (2 doubles per op; baseline on x86-64, so no target attribute needed,
-// but spelled out for symmetry with the AVX2 block).
+// AVX2 (4 doubles / 4 signatures per op). target("avx2") deliberately does
+// NOT enable FMA: the dx*dx + dy*dy sum must round the two products before
+// the add exactly like the scalar code, and without -mfma the compiler
+// cannot contract _mm256_add_pd(_mm256_mul_pd, _mm256_mul_pd) into a fused
+// op.
 //
 // Why min/max here is safe for bit-identity: `maxpd(a, b)` returns b when
 // the operands compare equal, so maxpd(x, +0.0) yields +0.0 where
@@ -103,93 +106,6 @@ constexpr KernelOps kScalarOps = {
 // by the squaring that immediately follows. MBR coordinates are never NaN
 // (tree invariant: MBRs come from real object coordinates), so the NaN
 // asymmetry of maxpd cannot trigger.
-
-__attribute__((target("sse2"))) inline __m128d Sse2AxisDelta(__m128d lo,
-                                                             __m128d hi,
-                                                             __m128d q) {
-  const __m128d zero = _mm_setzero_pd();
-  const __m128d a = _mm_max_pd(_mm_sub_pd(lo, q), zero);
-  return _mm_max_pd(a, _mm_sub_pd(q, hi));
-}
-
-__attribute__((target("sse2"))) void Sse2ChildSquaredDistances(
-    const double* min_x, const double* min_y, const double* max_x,
-    const double* max_y, uint32_t count, double px, double py, double* out) {
-  const __m128d vpx = _mm_set1_pd(px);
-  const __m128d vpy = _mm_set1_pd(py);
-  uint32_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const __m128d dx = Sse2AxisDelta(_mm_loadu_pd(min_x + i),
-                                     _mm_loadu_pd(max_x + i), vpx);
-    const __m128d dy = Sse2AxisDelta(_mm_loadu_pd(min_y + i),
-                                     _mm_loadu_pd(max_y + i), vpy);
-    _mm_storeu_pd(out + i,
-                  _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy)));
-  }
-  for (; i < count; ++i) {
-    const double dx = AxisDelta(min_x[i], max_x[i], px);
-    const double dy = AxisDelta(min_y[i], max_y[i], py);
-    out[i] = dx * dx + dy * dy;
-  }
-}
-
-__attribute__((target("sse2"))) uint32_t Sse2ChildScanSig(
-    const double* min_x, const double* min_y, const double* max_x,
-    const double* max_y, const FrozenNodeRecord* children, uint32_t count,
-    double px, double py, uint64_t query_sig, uint32_t* out_idx,
-    double* out_dist) {
-  const __m128d vpx = _mm_set1_pd(px);
-  const __m128d vpy = _mm_set1_pd(py);
-  uint32_t survivors = 0;
-  uint32_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const uint64_t pass0 = children[i].sig & query_sig;
-    const uint64_t pass1 = children[i + 1].sig & query_sig;
-    if ((pass0 | pass1) == 0) {
-      continue;
-    }
-    const __m128d dx = Sse2AxisDelta(_mm_loadu_pd(min_x + i),
-                                     _mm_loadu_pd(max_x + i), vpx);
-    const __m128d dy = Sse2AxisDelta(_mm_loadu_pd(min_y + i),
-                                     _mm_loadu_pd(max_y + i), vpy);
-    alignas(16) double dist[2];
-    _mm_store_pd(dist, _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy)));
-    if (pass0 != 0) {
-      out_idx[survivors] = i;
-      out_dist[survivors] = dist[0];
-      ++survivors;
-    }
-    if (pass1 != 0) {
-      out_idx[survivors] = i + 1;
-      out_dist[survivors] = dist[1];
-      ++survivors;
-    }
-  }
-  for (; i < count; ++i) {
-    if ((children[i].sig & query_sig) == 0) {
-      continue;
-    }
-    const double dx = AxisDelta(min_x[i], max_x[i], px);
-    const double dy = AxisDelta(min_y[i], max_y[i], py);
-    out_idx[survivors] = i;
-    out_dist[survivors] = dx * dx + dy * dy;
-    ++survivors;
-  }
-  return survivors;
-}
-
-constexpr KernelOps kSse2Ops = {
-    "sse2",
-    &Sse2ChildSquaredDistances,
-    &Sse2ChildScanSig,
-};
-
-// ---------------------------------------------------------------------------
-// AVX2 (4 doubles / 4 signatures per op). target("avx2") deliberately does
-// NOT enable FMA: the dx*dx + dy*dy sum must round the two products before
-// the add exactly like the scalar code, and without -mfma the compiler
-// cannot contract _mm256_add_pd(_mm256_mul_pd, _mm256_mul_pd) into a fused
-// op.
 
 __attribute__((target("avx2"))) inline __m256d Avx2AxisDelta(__m256d lo,
                                                              __m256d hi,
@@ -284,10 +200,8 @@ const KernelOps* AutoDetect() {
   if (__builtin_cpu_supports("avx2")) {
     return &kAvx2Ops;
   }
-  return &kSse2Ops;  // SSE2 is the x86-64 baseline.
-#else
-  return &kScalarOps;
 #endif
+  return &kScalarOps;
 }
 
 Status Lookup(const std::string& name, const KernelOps** out) {
@@ -296,10 +210,6 @@ Status Lookup(const std::string& name, const KernelOps** out) {
     return Status::OK();
   }
 #if COSKQ_KERNELS_X86
-  if (name == "sse2") {
-    *out = &kSse2Ops;
-    return Status::OK();
-  }
   if (name == "avx2") {
     if (!__builtin_cpu_supports("avx2")) {
       return Status::Unimplemented("kernel 'avx2' not supported by this CPU");
@@ -308,13 +218,13 @@ Status Lookup(const std::string& name, const KernelOps** out) {
     return Status::OK();
   }
 #else
-  if (name == "sse2" || name == "avx2") {
-    return Status::Unimplemented("kernel '" + name +
-                                 "' not built for this architecture");
+  if (name == "avx2") {
+    return Status::Unimplemented("kernel 'avx2' not built for this "
+                                 "architecture");
   }
 #endif
   return Status::InvalidArgument(
-      "unknown kernel '" + name + "' (expected scalar, sse2, avx2, or auto)");
+      "unknown kernel '" + name + "' (expected scalar, avx2, or auto)");
 }
 
 const KernelOps* ResolveDefault() {
@@ -367,7 +277,6 @@ Status KernelsForName(const std::string& name, const KernelOps** out) {
 std::vector<std::string> SupportedKernelNames() {
   std::vector<std::string> names = {"scalar"};
 #if COSKQ_KERNELS_X86
-  names.push_back("sse2");
   if (__builtin_cpu_supports("avx2")) {
     names.push_back("avx2");
   }
@@ -377,7 +286,8 @@ std::vector<std::string> SupportedKernelNames() {
 
 void ColdPrefetch(const void* p, size_t len) {
   // Keyed by first page of the range; heap-pop prefetch ranges are at most
-  // a group (one page, maybe straddling two), so one key is a good proxy.
+  // a leaf stripe (one page, maybe straddling two), so one key is a good
+  // proxy.
   // +1 biases keys away from 0 so the zero-initialised ring is "empty".
   constexpr size_t kRing = 16;
   static thread_local uintptr_t ring[kRing] = {};

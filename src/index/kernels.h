@@ -14,11 +14,12 @@ namespace internal_index {
 
 /// Data-parallel kernels for the frozen fast paths (see DESIGN.md §12).
 ///
-/// Every operation has a scalar reference implementation plus SSE2 and AVX2
-/// variants compiled with function-level target attributes (no global
+/// Every operation has a scalar reference implementation plus an AVX2
+/// variant compiled with function-level target attributes (no global
 /// `-march`), and the table in use is chosen once per process: from the
-/// `COSKQ_KERNEL` environment variable (`scalar`, `sse2`, `avx2`, or `auto`)
-/// when set to a usable value, else by CPUID feature detection.
+/// `COSKQ_KERNEL` environment variable (`scalar`, `avx2`, or `auto`) when
+/// set to a usable value, else by CPUID feature detection (AVX2 when the
+/// CPU has it, scalar otherwise).
 ///
 /// Bit-identity contract: for identical inputs, every implementation of an
 /// operation produces byte-identical outputs — the same squared distances
@@ -35,7 +36,7 @@ namespace internal_index {
 /// vector-width tail (N = 0..33), unaligned base offsets, and degenerate /
 /// touching / containing MBR geometry against the scalar reference.
 struct KernelOps {
-  /// Dispatch-table name: "scalar", "sse2", or "avx2".
+  /// Dispatch-table name: "scalar" or "avx2".
   const char* name;
 
   /// Squared MINDIST from (px, py) to each of `count` MBRs read from the
@@ -74,7 +75,7 @@ const KernelOps& ActiveKernels();
 const char* ActiveKernelName();
 
 /// Forces the process-wide table (test / benchmark / CLI hook). Accepts
-/// "scalar", "sse2", "avx2", or "auto" (re-runs the default resolution,
+/// "scalar", "avx2", or "auto" (re-runs the default resolution,
 /// honouring COSKQ_KERNEL). Returns InvalidArgument for an unknown name and
 /// Unimplemented when the hardware lacks the instruction set; the active
 /// table is unchanged on error.
@@ -112,8 +113,7 @@ inline uint32_t PrefetchHint(const FrozenNodeRecord& rec) {
 /// Page-granular prefetch for cold (non-populated) mappings: asks the
 /// kernel to start reading the page(s) holding [p, p + len) ahead of the
 /// fault. A small thread-local ring of recently advised pages swallows
-/// duplicate madvise syscalls — on the level-grouped layout a child block's
-/// record AND MBR lanes share one page, so one advise covers them all.
+/// duplicate madvise syscalls.
 void ColdPrefetch(const void* p, size_t len);
 
 /// Issues prefetches for the heap entry that will pop next: its node
@@ -131,19 +131,19 @@ inline void PrefetchNextPop(const FrozenView& v, const void* node,
   const uint32_t base = hint & ~kPrefetchLeafFlag;
   const bool leaf = (hint & kPrefetchLeafFlag) != 0;
   if (v.cold) {
+    // A leaf's entry stripe, at most this many entries.
+    constexpr size_t kLeafStripe = 64;
     ColdPrefetch(node, sizeof(FrozenNodeRecord));
     if (leaf) {
-      ColdPrefetch(v.leaf_ids + base, kGroupSlots * sizeof(ObjectId));
-      ColdPrefetch(v.leaf_x + base, kGroupSlots * sizeof(double));
-      ColdPrefetch(v.leaf_y + base, kGroupSlots * sizeof(double));
+      ColdPrefetch(v.leaf_ids + base, kLeafStripe * sizeof(ObjectId));
+      ColdPrefetch(v.leaf_x + base, kLeafStripe * sizeof(double));
+      ColdPrefetch(v.leaf_y + base, kLeafStripe * sizeof(double));
     } else {
-      // The dedup ring collapses these to a single syscall when the lanes
-      // share the child block's page (level-grouped layout).
-      ColdPrefetch(v.node_ptr(base), sizeof(FrozenNodeRecord));
-      ColdPrefetch(v.min_x_ptr(base), sizeof(double));
-      ColdPrefetch(v.min_y_ptr(base), sizeof(double));
-      ColdPrefetch(v.max_x_ptr(base), sizeof(double));
-      ColdPrefetch(v.max_y_ptr(base), sizeof(double));
+      ColdPrefetch(v.nodes + base, sizeof(FrozenNodeRecord));
+      ColdPrefetch(v.min_x + base, sizeof(double));
+      ColdPrefetch(v.min_y + base, sizeof(double));
+      ColdPrefetch(v.max_x + base, sizeof(double));
+      ColdPrefetch(v.max_y + base, sizeof(double));
     }
     return;
   }
@@ -153,11 +153,11 @@ inline void PrefetchNextPop(const FrozenView& v, const void* node,
     PrefetchForRead(v.leaf_x + base);
     PrefetchForRead(v.leaf_y + base);
   } else {
-    PrefetchForRead(v.node_ptr(base));
-    PrefetchForRead(v.min_x_ptr(base));
-    PrefetchForRead(v.min_y_ptr(base));
-    PrefetchForRead(v.max_x_ptr(base));
-    PrefetchForRead(v.max_y_ptr(base));
+    PrefetchForRead(v.nodes + base);
+    PrefetchForRead(v.min_x + base);
+    PrefetchForRead(v.min_y + base);
+    PrefetchForRead(v.max_x + base);
+    PrefetchForRead(v.max_y + base);
   }
 }
 

@@ -15,6 +15,7 @@
 
 #include "index/frozen_layout.h"
 #include "index/residency.h"
+#include "util/atomic_file.h"
 #include "util/logging.h"
 
 namespace coskq {
@@ -57,7 +58,7 @@ constexpr uint16_t kEndianMarker = 0x0102;
 /// reject the file instead of misparsing it. The first 48 bytes are exactly
 /// the v1 header; v2 appended `layout` and `reserved` and pads the header
 /// region to 4096 bytes so the body starts page-aligned in the file; v3
-/// appended the posting-file counts. In v3 `num_terms` counts the node
+/// appended the posting-file counts. In v3/v4 `num_terms` counts the node
 /// summaries only; in v1/v2 it also counted the object keyword spans.
 struct SnapshotHeader {
   uint32_t magic;
@@ -72,6 +73,8 @@ struct SnapshotHeader {
   uint32_t height;
   uint64_t body_bytes;
   // --- v2 fields (absent in v1 files; defaulted on read). ---
+  /// v2/v3: the legacy node-layout id (see LegacyNodeLayout). v4 has one
+  /// body layout and requires 0 here.
   uint32_t layout;
   uint32_t reserved;
   // --- v3 fields (absent in v1/v2 files, whose bodies carry no postings).
@@ -103,50 +106,260 @@ constexpr size_t HeaderBytes(uint16_t version) {
 
 constexpr size_t Align8(size_t n) { return (n + 7) & ~size_t{7}; }
 
-/// Body of a v1/v2 file: the current sections up to leaf_sigs (identical
-/// offsets), then per-entry keyword spans (begin, count) into a term arena
-/// that interleaves, slot by slot, each node's summary and — for leaves —
-/// its objects' keyword sets.
-struct LegacyLayout {
-  BodyLayout head;
-  size_t leaf_term_begin_off = 0;
-  size_t leaf_term_count_off = 0;
-  size_t total_bytes = 0;
+constexpr uint64_t kMax32 = std::numeric_limits<uint32_t>::max();
+
+// ---------------------------------------------------------------------------
+// Legacy bodies (v1-v3). Everything that knows their layouts lives here: the
+// converter below reads them once and writes the v4 body.
+
+/// Node-region layout of a v2/v3 body, named by the header's `layout` word
+/// (v1 bodies are kBfs). kBfs is the v4 node region: the records, then the
+/// four MBR lanes, each a flat section. kLevelGrouped tiled the slots into
+/// groups of 64, each one 4096-byte page holding its 64 records followed by
+/// their four MBR lanes (64 doubles each); the tail group is zero-padded.
+enum class LegacyNodeLayout : uint32_t {
+  kBfs = 0,
+  kLevelGrouped = 1,
 };
 
-LegacyLayout MakeLegacyLayout(FrozenLayout layout, uint32_t num_nodes,
-                              uint32_t num_leaf_entries, uint32_t num_terms) {
-  LegacyLayout lay;
-  lay.head = BodyLayout::Make(
-      layout, BodyCounts{num_nodes, num_leaf_entries, num_terms, 0, 0});
-  const size_t span_bytes = Align8(size_t{num_leaf_entries} * sizeof(uint32_t));
-  lay.leaf_term_begin_off = lay.head.post_begin_off;
-  lay.leaf_term_count_off = lay.leaf_term_begin_off + span_bytes;
-  lay.total_bytes = lay.leaf_term_count_off + span_bytes;
-  return lay;
-}
+constexpr uint32_t kGroupSlots = 64;
+constexpr size_t kGroupBytes =
+    kGroupSlots * sizeof(FrozenNodeRecord) + 4 * kGroupSlots * sizeof(double);
+static_assert(kGroupBytes == 4096, "one level-grouped group is one page");
 
-/// The body size a header's counts imply for its version.
-uint64_t ExpectedBodyBytes(const SnapshotHeader& h) {
-  const FrozenLayout layout = static_cast<FrozenLayout>(h.layout);
-  if (h.version < 3) {
-    return MakeLegacyLayout(layout, h.num_nodes, h.num_leaf_entries,
-                            h.num_terms)
-        .total_bytes;
-  }
-  return FrozenStore::BodyBytes(
-      layout, BodyCounts{h.num_nodes, h.num_leaf_entries, h.num_terms,
-                         h.num_post_terms, h.num_postings});
-}
-
-/// Rejects layout ids this build does not know (forward files, corruption).
-Status CheckLayoutId(uint32_t layout, const std::string& path) {
-  if (layout != static_cast<uint32_t>(FrozenLayout::kBfs) &&
-      layout != static_cast<uint32_t>(FrozenLayout::kLevelGrouped)) {
+/// Rejects layout ids a v2/v3 header cannot carry (forward files,
+/// corruption).
+Status CheckLegacyLayoutId(uint32_t layout, const std::string& path) {
+  if (layout != static_cast<uint32_t>(LegacyNodeLayout::kBfs) &&
+      layout != static_cast<uint32_t>(LegacyNodeLayout::kLevelGrouped)) {
     return Status::InvalidArgument("unknown frozen layout id " +
                                    std::to_string(layout) + ": " + path);
   }
   return Status::OK();
+}
+
+/// Section offsets of a v1-v3 body: the node region (per layout), then flat
+/// sections — the term arena, the leaf ids, x, y, the per-entry Bloom
+/// signatures `leaf_sigs` (8 bytes per entry, read by no v4 query), and a
+/// version-specific tail: v3 the posting file (post_begin, post_entries),
+/// v1/v2 per-entry keyword spans (begin, count) into a term arena that
+/// interleaves, slot by slot, each node's summary and — for leaves — its
+/// objects' keyword sets.
+struct LegacyBody {
+  LegacyNodeLayout layout = LegacyNodeLayout::kBfs;
+  uint32_t num_nodes = 0;
+  size_t terms_off = 0;
+  size_t leaf_ids_off = 0;
+  size_t leaf_x_off = 0;
+  size_t leaf_y_off = 0;
+  size_t tail_begin_off = 0;  // v3: post_begin; v1/v2: span begins
+  size_t tail_entries_off = 0;  // v3: post_entries; v1/v2: span counts
+  size_t total_bytes = 0;
+
+  static LegacyBody Make(const SnapshotHeader& h) {
+    LegacyBody b;
+    b.layout = static_cast<LegacyNodeLayout>(h.layout);
+    b.num_nodes = h.num_nodes;
+    const size_t nodes = h.num_nodes;
+    const size_t entries = h.num_leaf_entries;
+    size_t off = b.layout == LegacyNodeLayout::kLevelGrouped
+                     ? (nodes + kGroupSlots - 1) / kGroupSlots * kGroupBytes
+                     : Align8(nodes * sizeof(FrozenNodeRecord)) +
+                           4 * Align8(nodes * sizeof(double));
+    const auto section = [&off](size_t bytes) {
+      const size_t begin = off;
+      off += Align8(bytes);
+      return begin;
+    };
+    b.terms_off = section(size_t{h.num_terms} * sizeof(TermId));
+    b.leaf_ids_off = section(entries * sizeof(ObjectId));
+    b.leaf_x_off = section(entries * sizeof(double));
+    b.leaf_y_off = section(entries * sizeof(double));
+    section(entries * sizeof(uint64_t));  // leaf_sigs, dropped on load
+    if (h.version >= 3) {
+      b.tail_begin_off =
+          section((size_t{h.num_post_terms} + 1) * sizeof(uint32_t));
+      b.tail_entries_off =
+          section(size_t{h.num_postings} * sizeof(uint32_t));
+    } else {
+      b.tail_begin_off = section(entries * sizeof(uint32_t));
+      b.tail_entries_off = section(entries * sizeof(uint32_t));
+    }
+    b.total_bytes = off;
+    return b;
+  }
+
+  /// Byte offset of slot's record, and of slot's value in MBR lane k
+  /// (0..3 = min_x, min_y, max_x, max_y).
+  size_t RecordOff(uint32_t slot) const {
+    if (layout == LegacyNodeLayout::kLevelGrouped) {
+      return size_t{slot / kGroupSlots} * kGroupBytes +
+             size_t{slot % kGroupSlots} * sizeof(FrozenNodeRecord);
+    }
+    return size_t{slot} * sizeof(FrozenNodeRecord);
+  }
+  size_t LaneOff(int k, uint32_t slot) const {
+    if (layout == LegacyNodeLayout::kLevelGrouped) {
+      return size_t{slot / kGroupSlots} * kGroupBytes +
+             kGroupSlots * sizeof(FrozenNodeRecord) +
+             (size_t(k) * kGroupSlots + slot % kGroupSlots) * sizeof(double);
+    }
+    return Align8(size_t{num_nodes} * sizeof(FrozenNodeRecord)) +
+           size_t(k) * Align8(size_t{num_nodes} * sizeof(double)) +
+           size_t{slot} * sizeof(double);
+  }
+};
+
+/// Fills a posting file from per-entry keyword sets: post_begin[t] ..
+/// post_begin[t + 1] is the run of leaf-entry indices whose keyword set
+/// contains t, ascending. `keywords(e)` returns entry e's sorted keyword
+/// set as a (pointer, count) pair; every id must be < num_post_terms. One
+/// counting pass, a prefix sum, then one ascending fill pass.
+template <typename KeywordsOf>
+void FillPostings(uint32_t num_leaf_entries, uint32_t num_post_terms,
+                  KeywordsOf keywords, uint32_t* post_begin,
+                  uint32_t* post_entries) {
+  std::vector<uint32_t> cursor(size_t{num_post_terms} + 1, 0);
+  for (uint32_t e = 0; e < num_leaf_entries; ++e) {
+    const auto [terms, count] = keywords(e);
+    for (size_t i = 0; i < count; ++i) {
+      ++cursor[terms[i] + 1];
+    }
+  }
+  for (uint32_t t = 0; t < num_post_terms; ++t) {
+    cursor[t + 1] += cursor[t];
+  }
+  std::copy(cursor.begin(), cursor.end(), post_begin);
+  for (uint32_t e = 0; e < num_leaf_entries; ++e) {
+    const auto [terms, count] = keywords(e);
+    for (size_t i = 0; i < count; ++i) {
+      post_entries[cursor[terms[i]]++] = e;
+    }
+  }
+}
+
+/// Rebuilds a v1-v3 body (at `old_body`, already checksum-verified) as a v4
+/// body in `store` — byte for byte what Freeze() writes for the same tree:
+/// the node records and MBR lanes move to the flat v4 sections, `leaf_sigs`
+/// is dropped, and for v1/v2 the node summaries are compacted into the
+/// term arena in slot order and the objects' keyword spans are transposed
+/// into the posting file. Every v1/v2 span is range-checked before it is
+/// read; `vocab_size` bounds the term ids (the file is bound to the dataset
+/// by checksum, so every keyword id is one of its terms). v3 term arenas
+/// and posting files are copied as they are and validated with the v4 body.
+Status ConvertLegacyBody(const SnapshotHeader& header, const uint8_t* old_body,
+                         size_t vocab_size, FrozenStore* store) {
+  const LegacyBody old = LegacyBody::Make(header);
+  const auto* old_terms =
+      reinterpret_cast<const TermId*>(old_body + old.terms_off);
+  const auto* old_tail_begin =
+      reinterpret_cast<const uint32_t*>(old_body + old.tail_begin_off);
+  const auto* old_tail_entries =
+      reinterpret_cast<const uint32_t*>(old_body + old.tail_entries_off);
+  const auto old_rec = [&](uint32_t slot) {
+    FrozenNodeRecord rec;
+    memcpy(&rec, old_body + old.RecordOff(slot), sizeof(rec));
+    return rec;
+  };
+  const bool spans = header.version < 3;
+
+  BodyCounts counts{header.num_nodes, header.num_leaf_entries,
+                    header.num_terms, header.num_post_terms,
+                    header.num_postings};
+  if (spans) {
+    uint64_t summary_terms = 0;
+    for (uint32_t slot = 0; slot < header.num_nodes; ++slot) {
+      const FrozenNodeRecord rec = old_rec(slot);
+      if (uint64_t{rec.term_begin} + rec.term_count > header.num_terms) {
+        return Status::Corruption("snapshot term span out of range");
+      }
+      summary_terms += rec.term_count;
+    }
+    const uint32_t* span_begin = old_tail_begin;
+    const uint32_t* span_count = old_tail_entries;
+    uint64_t postings = 0;
+    uint64_t post_terms = 0;
+    for (uint32_t e = 0; e < header.num_leaf_entries; ++e) {
+      if (uint64_t{span_begin[e]} + span_count[e] > header.num_terms) {
+        return Status::Corruption("snapshot leaf keyword span out of range");
+      }
+      postings += span_count[e];
+      for (uint32_t i = 0; i < span_count[e]; ++i) {
+        const TermId t = old_terms[span_begin[e] + i];
+        if (t >= vocab_size) {
+          return Status::Corruption("snapshot keyword id out of range");
+        }
+        post_terms = std::max<uint64_t>(post_terms, uint64_t{t} + 1);
+      }
+    }
+    if (summary_terms > kMax32 || postings > kMax32) {
+      return Status::Corruption("snapshot keyword spans overflow");
+    }
+    counts.num_terms = static_cast<uint32_t>(summary_terms);
+    counts.num_post_terms = static_cast<uint32_t>(post_terms);
+    counts.num_postings = static_cast<uint32_t>(postings);
+  }
+
+  const BodyLayout lay = BodyLayout::Make(counts);
+  std::vector<uint8_t> body(lay.total_bytes, 0);
+  uint8_t* out = body.data();
+  const size_t lane_off[4] = {lay.min_x_off, lay.min_y_off, lay.max_x_off,
+                              lay.max_y_off};
+  auto* terms = reinterpret_cast<TermId*>(out + lay.terms_off);
+  uint32_t next_term = 0;
+  for (uint32_t slot = 0; slot < header.num_nodes; ++slot) {
+    FrozenNodeRecord rec = old_rec(slot);
+    if (spans) {
+      std::copy(old_terms + rec.term_begin,
+                old_terms + rec.term_begin + rec.term_count,
+                terms + next_term);
+      rec.term_begin = next_term;
+      next_term += rec.term_count;
+    }
+    memcpy(out + lay.nodes_off + size_t{slot} * sizeof(rec), &rec,
+           sizeof(rec));
+    for (int k = 0; k < 4; ++k) {
+      memcpy(out + lane_off[k] + size_t{slot} * sizeof(double),
+             old_body + old.LaneOff(k, slot), sizeof(double));
+    }
+  }
+  const size_t n = header.num_leaf_entries;
+  memcpy(out + lay.leaf_ids_off, old_body + old.leaf_ids_off,
+         n * sizeof(ObjectId));
+  memcpy(out + lay.leaf_x_off, old_body + old.leaf_x_off, n * sizeof(double));
+  memcpy(out + lay.leaf_y_off, old_body + old.leaf_y_off, n * sizeof(double));
+  auto* post_begin = reinterpret_cast<uint32_t*>(out + lay.post_begin_off);
+  auto* post_entries = reinterpret_cast<uint32_t*>(out + lay.post_entries_off);
+  if (spans) {
+    FillPostings(
+        counts.num_leaf_entries, counts.num_post_terms,
+        [&](uint32_t e) {
+          return std::make_pair(old_terms + old_tail_begin[e],
+                                size_t{old_tail_entries[e]});
+        },
+        post_begin, post_entries);
+  } else {
+    memcpy(terms, old_terms, size_t{counts.num_terms} * sizeof(TermId));
+    memcpy(post_begin, old_tail_begin,
+           (size_t{counts.num_post_terms} + 1) * sizeof(uint32_t));
+    memcpy(post_entries, old_tail_entries,
+           size_t{counts.num_postings} * sizeof(uint32_t));
+  }
+  store->owned = std::move(body);
+  store->BindView(store->owned.data(), counts, header.height);
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+
+/// The body size a header's counts imply for its version.
+uint64_t ExpectedBodyBytes(const SnapshotHeader& h) {
+  if (h.version < kSnapshotVersion) {
+    return LegacyBody::Make(h).total_bytes;
+  }
+  return FrozenStore::BodyBytes(BodyCounts{h.num_nodes, h.num_leaf_entries,
+                                           h.num_terms, h.num_post_terms,
+                                           h.num_postings});
 }
 
 constexpr uint64_t kFnvOffset = 14695981039346656037ull;
@@ -195,11 +408,6 @@ class Checksummer {
 /// reports a Status instead of aborting.
 Status ValidateStructure(const FrozenView& v, uint32_t num_objects,
                          uint32_t max_entries) {
-  const Status layout_ok =
-      CheckLayoutId(static_cast<uint32_t>(v.layout), "snapshot body");
-  if (!layout_ok.ok()) {
-    return layout_ok;
-  }
   if (v.num_nodes == 0) {
     return Status::Corruption("snapshot has no nodes");
   }
@@ -207,7 +415,7 @@ Status ValidateStructure(const FrozenView& v, uint32_t num_objects,
   uint64_t expected_leaf_entry = 0;
   std::vector<bool> id_seen(v.num_nodes, false);
   for (uint32_t slot = 0; slot < v.num_nodes; ++slot) {
-    const FrozenNodeRecord& node = v.node(slot);
+    const FrozenNodeRecord& node = v.nodes[slot];
     if (node.id >= v.num_nodes || id_seen[node.id]) {
       return Status::Corruption("snapshot node ids are not a permutation");
     }
@@ -275,139 +483,6 @@ Status ValidateStructure(const FrozenView& v, uint32_t num_objects,
   return Status::OK();
 }
 
-/// Fills a posting file from per-entry keyword sets: post_begin[t] ..
-/// post_begin[t + 1] is the run of leaf-entry indices whose keyword set
-/// contains t, ascending. `keywords(e)` returns entry e's sorted keyword
-/// set as a (pointer, count) pair; every id must be < num_post_terms. One
-/// counting pass, a prefix sum, then one ascending fill pass.
-template <typename KeywordsOf>
-void FillPostings(uint32_t num_leaf_entries, uint32_t num_post_terms,
-                  KeywordsOf keywords, uint32_t* post_begin,
-                  uint32_t* post_entries) {
-  std::vector<uint32_t> cursor(size_t{num_post_terms} + 1, 0);
-  for (uint32_t e = 0; e < num_leaf_entries; ++e) {
-    const auto [terms, count] = keywords(e);
-    for (size_t i = 0; i < count; ++i) {
-      ++cursor[terms[i] + 1];
-    }
-  }
-  for (uint32_t t = 0; t < num_post_terms; ++t) {
-    cursor[t + 1] += cursor[t];
-  }
-  std::copy(cursor.begin(), cursor.end(), post_begin);
-  for (uint32_t e = 0; e < num_leaf_entries; ++e) {
-    const auto [terms, count] = keywords(e);
-    for (size_t i = 0; i < count; ++i) {
-      post_entries[cursor[terms[i]]++] = e;
-    }
-  }
-}
-
-/// Rebuilds a v1/v2 body (at `old_body`, already checksum-verified) as a
-/// current body in `store`: node summaries are compacted into the term
-/// arena in slot order and the objects' keyword spans are transposed into
-/// the posting file — byte for byte what Freeze() writes for the same
-/// tree. Every span is range-checked before it is read; `vocab_size` bounds
-/// the term ids (the file is bound to the dataset by checksum, so every
-/// keyword id is one of its terms).
-Status ConvertLegacyBody(const SnapshotHeader& header, const uint8_t* old_body,
-                         size_t vocab_size, FrozenStore* store) {
-  const FrozenLayout layout = static_cast<FrozenLayout>(header.layout);
-  const LegacyLayout old = MakeLegacyLayout(
-      layout, header.num_nodes, header.num_leaf_entries, header.num_terms);
-  const BodyLayout& head = old.head;
-  const auto old_rec = [&](uint32_t slot) {
-    FrozenNodeRecord rec;
-    memcpy(&rec,
-           old_body + head.rec_off +
-               static_cast<size_t>(slot >> internal_index::kGroupShift) *
-                   head.rec_stride +
-               static_cast<size_t>(slot & internal_index::kGroupMask) *
-                   sizeof(FrozenNodeRecord),
-           sizeof(rec));
-    return rec;
-  };
-  const auto* old_terms =
-      reinterpret_cast<const TermId*>(old_body + head.terms_off);
-  const auto* span_begin =
-      reinterpret_cast<const uint32_t*>(old_body + old.leaf_term_begin_off);
-  const auto* span_count =
-      reinterpret_cast<const uint32_t*>(old_body + old.leaf_term_count_off);
-
-  constexpr uint64_t kMax32 = std::numeric_limits<uint32_t>::max();
-  BodyCounts counts;
-  counts.num_nodes = header.num_nodes;
-  counts.num_leaf_entries = header.num_leaf_entries;
-  uint64_t summary_terms = 0;
-  for (uint32_t slot = 0; slot < header.num_nodes; ++slot) {
-    const FrozenNodeRecord rec = old_rec(slot);
-    if (uint64_t{rec.term_begin} + rec.term_count > header.num_terms) {
-      return Status::Corruption("snapshot term span out of range");
-    }
-    summary_terms += rec.term_count;
-  }
-  uint64_t postings = 0;
-  uint64_t post_terms = 0;
-  for (uint32_t e = 0; e < header.num_leaf_entries; ++e) {
-    if (uint64_t{span_begin[e]} + span_count[e] > header.num_terms) {
-      return Status::Corruption("snapshot leaf keyword span out of range");
-    }
-    postings += span_count[e];
-    for (uint32_t i = 0; i < span_count[e]; ++i) {
-      const TermId t = old_terms[span_begin[e] + i];
-      if (t >= vocab_size) {
-        return Status::Corruption("snapshot keyword id out of range");
-      }
-      post_terms = std::max<uint64_t>(post_terms, uint64_t{t} + 1);
-    }
-  }
-  if (summary_terms > kMax32 || postings > kMax32) {
-    return Status::Corruption("snapshot keyword spans overflow");
-  }
-  counts.num_terms = static_cast<uint32_t>(summary_terms);
-  counts.num_post_terms = static_cast<uint32_t>(post_terms);
-  counts.num_postings = static_cast<uint32_t>(postings);
-
-  const BodyLayout lay = BodyLayout::Make(layout, counts);
-  std::vector<uint8_t> body(lay.total_bytes, 0);
-  memcpy(body.data(), old_body, head.node_region_bytes);
-  auto* terms = reinterpret_cast<TermId*>(body.data() + lay.terms_off);
-  uint32_t next_term = 0;
-  for (uint32_t slot = 0; slot < header.num_nodes; ++slot) {
-    FrozenNodeRecord rec = old_rec(slot);
-    std::copy(old_terms + rec.term_begin,
-              old_terms + rec.term_begin + rec.term_count, terms + next_term);
-    rec.term_begin = next_term;
-    next_term += rec.term_count;
-    memcpy(body.data() + lay.rec_off +
-               static_cast<size_t>(slot >> internal_index::kGroupShift) *
-                   lay.rec_stride +
-               static_cast<size_t>(slot & internal_index::kGroupMask) *
-                   sizeof(FrozenNodeRecord),
-           &rec, sizeof(rec));
-  }
-  const size_t n = header.num_leaf_entries;
-  memcpy(body.data() + lay.leaf_ids_off, old_body + head.leaf_ids_off,
-         n * sizeof(ObjectId));
-  memcpy(body.data() + lay.leaf_x_off, old_body + head.leaf_x_off,
-         n * sizeof(double));
-  memcpy(body.data() + lay.leaf_y_off, old_body + head.leaf_y_off,
-         n * sizeof(double));
-  memcpy(body.data() + lay.leaf_sigs_off, old_body + head.leaf_sigs_off,
-         n * sizeof(uint64_t));
-  FillPostings(
-      counts.num_leaf_entries, counts.num_post_terms,
-      [&](uint32_t e) {
-        return std::make_pair(old_terms + span_begin[e],
-                              size_t{span_count[e]});
-      },
-      reinterpret_cast<uint32_t*>(body.data() + lay.post_begin_off),
-      reinterpret_cast<uint32_t*>(body.data() + lay.post_entries_off));
-  store->owned = std::move(body);
-  store->BindView(layout, store->owned.data(), counts, header.height);
-  return Status::OK();
-}
-
 /// RAII file descriptor.
 struct Fd {
   int fd = -1;
@@ -417,36 +492,6 @@ struct Fd {
     }
   }
 };
-
-/// write(2) until done; false on any error.
-bool WriteFully(int fd, const uint8_t* data, size_t len) {
-  while (len > 0) {
-    const ssize_t n = write(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    data += n;
-    len -= static_cast<size_t>(n);
-  }
-  return true;
-}
-
-/// Best-effort fsync of the directory holding `path`, so a completed rename
-/// survives a crash.
-void SyncParentDirectory(const std::string& path) {
-  const size_t slash = path.rfind('/');
-  const std::string dir = slash == std::string::npos ? "."
-                          : slash == 0              ? "/"
-                                                    : path.substr(0, slash);
-  Fd dfd;
-  dfd.fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd.fd >= 0) {
-    (void)fsync(dfd.fd);
-  }
-}
 
 }  // namespace
 
@@ -471,7 +516,6 @@ Status SaveSnapshot(IrTree* tree, const std::string& path) {
   header.num_terms = v.num_terms;
   header.height = v.height;
   header.body_bytes = body_bytes;
-  header.layout = static_cast<uint32_t>(store->layout);
   header.num_post_terms = v.num_post_terms;
   header.num_postings = v.num_postings;
 
@@ -485,39 +529,13 @@ Status SaveSnapshot(IrTree* tree, const std::string& path) {
   hasher.Update(body, body_bytes);
   const uint64_t checksum = hasher.Finish();
 
-  // Write a private temp file and rename it over the target: the target
-  // path always names either the old complete file or the new one, and a
-  // process that has the old file mapped keeps its (unlinked) inode
-  // instead of seeing it truncated under the mapping. O_EXCL refuses to
-  // reuse a temp file some other writer left behind.
-  const std::string tmp = path + ".tmp." + std::to_string(getpid());
-  Fd out;
-  out.fd = open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
-  if (out.fd < 0) {
-    return Status::IoError("cannot create " + tmp + ": " + strerror(errno));
-  }
-  const bool written =
-      WriteFully(out.fd, region.data(), region.size()) &&
-      WriteFully(out.fd, body, static_cast<size_t>(body_bytes)) &&
-      WriteFully(out.fd, reinterpret_cast<const uint8_t*>(&checksum),
-                 kTrailerBytes) &&
-      fsync(out.fd) == 0;
-  const int write_errno = errno;
-  close(out.fd);
-  out.fd = -1;
-  if (!written) {
-    unlink(tmp.c_str());
-    return Status::IoError("short write: " + tmp + ": " +
-                           strerror(write_errno));
-  }
-  if (rename(tmp.c_str(), path.c_str()) != 0) {
-    const int rename_errno = errno;
-    unlink(tmp.c_str());
-    return Status::IoError("cannot rename " + tmp + " to " + path + ": " +
-                           strerror(rename_errno));
-  }
-  SyncParentDirectory(path);
-  return Status::OK();
+  // Temp file + rename: a process that has the old file mapped keeps its
+  // (unlinked) inode instead of seeing it truncated under the mapping.
+  return WriteFileAtomically(path, [&](int fd) {
+    return WriteFully(fd, region.data(), region.size()) &&
+           WriteFully(fd, body, static_cast<size_t>(body_bytes)) &&
+           WriteFully(fd, &checksum, kTrailerBytes);
+  });
 }
 
 namespace {
@@ -572,12 +590,16 @@ Status ReadAndCheckFile(const std::string& path, int fd, bool verify_checksum,
     if (n != static_cast<ssize_t>(header_bytes - kV1HeaderBytes)) {
       return Status::IoError("cannot read header: " + path);
     }
-    const Status layout_ok = CheckLayoutId(header.layout, path);
-    if (!layout_ok.ok()) {
-      return layout_ok;
+    if (header.version < kSnapshotVersion) {
+      const Status layout_ok = CheckLegacyLayoutId(header.layout, path);
+      if (!layout_ok.ok()) {
+        return layout_ok;
+      }
+    } else if (header.layout != 0) {
+      return Status::Corruption("snapshot layout word is not zero: " + path);
     }
   } else {
-    header.layout = static_cast<uint32_t>(FrozenLayout::kBfs);
+    header.layout = 0;  // v1 bodies use the bfs node layout.
     header.reserved = 0;
   }
   if (header.version < 3) {
@@ -629,7 +651,6 @@ Status ReadAndCheckFile(const std::string& path, int fd, bool verify_checksum,
     info->height = header.height;
     info->body_bytes = header.body_bytes;
     info->file_bytes = file_size;
-    info->layout = static_cast<FrozenLayout>(header.layout);
     info->header_bytes = header_region;
   }
   if (header_out != nullptr) {
@@ -694,7 +715,6 @@ StatusOr<std::unique_ptr<IrTree>> LoadSnapshot(
   if (header.max_entries < 4) {
     return Status::Corruption("snapshot max_entries out of range: " + path);
   }
-  const FrozenLayout layout = static_cast<FrozenLayout>(header.layout);
   const uint64_t header_region = HeaderRegionBytes(header.version);
   const uint64_t covered = header_region + header.body_bytes;
 
@@ -760,9 +780,8 @@ StatusOr<std::unique_ptr<IrTree>> LoadSnapshot(
     }
     body = store->owned.data();
   }
-  if (header.version < 3) {
-    // v1/v2 bodies carry per-entry keyword spans instead of postings:
-    // rebuild them as an owned current body and drop the file.
+  if (header.version < kSnapshotVersion) {
+    // Legacy bodies are rebuilt as an owned v4 body; the file is dropped.
     status = ConvertLegacyBody(header, body, dataset->vocabulary().size(),
                                store.get());
     if (!status.ok()) {
@@ -775,7 +794,7 @@ StatusOr<std::unique_ptr<IrTree>> LoadSnapshot(
     }
     body = store->owned.data();
   } else {
-    store->BindView(layout, body,
+    store->BindView(body,
                     BodyCounts{header.num_nodes, header.num_leaf_entries,
                                header.num_terms, header.num_post_terms,
                                header.num_postings},
@@ -795,8 +814,6 @@ StatusOr<std::unique_ptr<IrTree>> LoadSnapshot(
 
   IrTree::Options options;
   options.max_entries = static_cast<int>(header.max_entries);
-  // The loaded tree adopts the snapshot's layout so Refreeze() preserves it.
-  options.frozen_layout = layout;
   const uint8_t* body_ptr = body;
   const uint64_t body_bytes = store->body_bytes;
   auto tree =

@@ -576,9 +576,7 @@ std::string StatsReply::ToString() const {
          " mutations=" + std::to_string(mutations_applied) +
          " refreezes=" + std::to_string(refreezes_completed) + "}";
   }
-  s += std::string(" mem{layout=") +
-       (index_layout == 1 ? "level-grouped" : "bfs") +
-       (index_cold != 0 ? " cold" : " warm") +
+  s += std::string(" mem{") + (index_cold != 0 ? "cold" : "warm") +
        " body=" + std::to_string(body_bytes) +
        " resident=" + std::to_string(body_resident_bytes);
   if (memory_budget_bytes > 0) {

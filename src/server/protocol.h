@@ -257,9 +257,10 @@ struct StatsReply {
   /// Total background refreezes completed since startup.
   uint64_t refreezes_completed = 0;
 
-  // Out-of-core counters (protocol v4; see IndexMemoryStats). Zero/bfs for
+  // Out-of-core counters (protocol v4; see IndexMemoryStats). Zero for
   // warm in-memory serving.
-  /// FrozenLayout id of the serving body (0 = bfs, 1 = level-grouped).
+  /// Former frozen-layout id: servers with one body layout always send 0;
+  /// older servers may send 1.
   uint8_t index_layout = 0;
   /// 1 when the snapshot mapping is cold (pages fault in on demand).
   uint8_t index_cold = 0;

@@ -290,7 +290,6 @@ ServerStatsSnapshot CoskqServer::stats() const {
   }
   if (context_.index != nullptr) {
     const IndexMemoryStats mem = context_.index->MemoryStats();
-    snap.index_layout = static_cast<uint8_t>(mem.layout);
     snap.index_cold = mem.cold ? 1 : 0;
     snap.body_bytes = mem.body_bytes;
     snap.body_resident_bytes = mem.body_resident_bytes;

@@ -7,7 +7,7 @@
 //
 // Since the frozen traversals dispatch through the SIMD kernel table
 // (kernels.h), every frozen-side check runs once per supported kernel
-// (scalar always, plus sse2/avx2 where the hardware has them) via
+// (scalar always, plus avx2 where the hardware has it) via
 // ForEachKernel — the pointer-side expectation is computed once and each
 // kernel must reproduce it exactly.
 
@@ -33,7 +33,7 @@ namespace {
 /// Runs `fn` once per supported kernel table with that table forced
 /// process-wide, then restores the previous selection. Frozen traversals
 /// read the active table, so this is how the differential checks cover the
-/// scalar, SSE2, and AVX2 code paths on one machine.
+/// scalar and AVX2 code paths on one machine.
 template <typename Fn>
 void ForEachKernel(Fn&& fn) {
   using internal_index::ActiveKernelName;

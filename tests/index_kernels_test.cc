@@ -183,6 +183,9 @@ TEST(KernelDispatchTest, UnknownNameFailsWithStatusNotCrash) {
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(ops, nullptr);
+  // The retired SSE2 tier is an unknown name like any other.
+  EXPECT_EQ(KernelsForName("sse2", &ops).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ops, nullptr);
 
   // SelectKernels must leave the active table untouched on error.
   const std::string before = ActiveKernelName();
@@ -227,7 +230,6 @@ TEST(KernelDispatchTest, HonoursValidEnvironmentOverride) {
 TEST(KernelDispatchTest, SimdNamesUnimplementedOffX86) {
   const KernelOps* ops = nullptr;
   EXPECT_EQ(KernelsForName("avx2", &ops).code(), StatusCode::kUnimplemented);
-  EXPECT_EQ(KernelsForName("sse2", &ops).code(), StatusCode::kUnimplemented);
 }
 #endif
 

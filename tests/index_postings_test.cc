@@ -1,12 +1,11 @@
 // Range retrieval from the frozen body's term-major posting file
-// (DESIGN.md §14). Over seeds 0-49 and both frozen layouts, every
-// RangeRelevant call — unmasked and masked — must return exactly the tree
+// (DESIGN.md §11). Over seeds 0-49, every RangeRelevant call — unmasked and masked — must return exactly the tree
 // walk's output, in the same order (asking for a visit log forces the tree
 // walk), and the brute-force answer as a set; before any mutation it must
 // also equal a never-frozen pointer tree's output in order. The query mix
 // covers delta inserts and tombstones, queries with more than 64 keywords
-// (the unmasked entry), terms absent from the base, and empty and
-// whole-MBR disks, and it must exercise both planner branches. The
+// (the unmasked entry), terms absent from the base, empty, negative-radius
+// and whole-MBR disks, and it must exercise both planner branches. The
 // posting-fed KeywordMatches harvest (the server's RELEVANT verb) must equal
 // a brute-force scan with the same masks and id order.
 
@@ -15,7 +14,6 @@
 #include <algorithm>
 #include <memory>
 #include <set>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -38,20 +36,18 @@ struct RangeQuery {
   TermSet terms;
 };
 
-class PostingsDiffTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, FrozenLayout>> {
+class PostingsDiffTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
-    seed_ = std::get<0>(GetParam());
-    options_.frozen_layout = std::get<1>(GetParam());
+    seed_ = GetParam();
     dataset_ = test::MakeRandomDataset(kNumObjects, kVocab, 3.0, seed_ + 100);
     for (ObjectId id = 0; id < kBaseObjects; ++id) {
       live_.insert(id);
     }
     const std::vector<ObjectId> base(live_.begin(), live_.end());
-    tree_ = std::make_unique<IrTree>(&dataset_, options_, base);
+    tree_ = std::make_unique<IrTree>(&dataset_, IrTree::Options(), base);
     tree_->Freeze();
-    pointer_ = std::make_unique<IrTree>(&dataset_, options_, base);
+    pointer_ = std::make_unique<IrTree>(&dataset_, IrTree::Options(), base);
   }
 
   /// Inserts 60 objects outside the base and removes 40 base objects.
@@ -109,6 +105,9 @@ class PostingsDiffTest
     // Empty disks: zero radius, and a disk outside the MBR.
     queries.push_back({Circle(point(), 0.0), RandomTerms(rng, 3, 0, kVocab)});
     queries.push_back({Circle(Point{5.0, 5.0}, 0.5), TermSet{0, 1, 70}});
+    // A negative radius: empty on every path, delta inserts included.
+    queries.push_back({Circle(Point{0.5, 0.5}, -0.6),
+                       RandomTerms(rng, 20, 0, kVocab)});
     // A live object's own location at zero radius.
     const ObjectId hit = *live_.begin();
     queries.push_back({Circle(dataset_.object(hit).location, 0.0),
@@ -123,6 +122,9 @@ class PostingsDiffTest
 
   std::vector<ObjectId> BruteForce(const RangeQuery& q) const {
     std::vector<ObjectId> out;
+    if (q.circle.radius < 0.0) {
+      return out;
+    }
     for (ObjectId id : live_) {
       const SpatialObject& obj = dataset_.object(id);
       if (q.circle.Contains(obj.location) && obj.ContainsAnyOf(q.terms)) {
@@ -178,7 +180,6 @@ class PostingsDiffTest
   }
 
   uint64_t seed_ = 0;
-  IrTree::Options options_;
   Dataset dataset_;
   std::set<ObjectId> live_;
   std::unique_ptr<IrTree> tree_;
@@ -240,13 +241,9 @@ TEST_P(PostingsDiffTest, KeywordMatchesEqualBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Seeds, PostingsDiffTest,
-    ::testing::Combine(::testing::Range<uint64_t>(0, 50),
-                       ::testing::Values(FrozenLayout::kBfs,
-                                         FrozenLayout::kLevelGrouped)),
+    Seeds, PostingsDiffTest, ::testing::Range<uint64_t>(0, 50),
     [](const ::testing::TestParamInfo<PostingsDiffTest::ParamType>& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_" +
-             (std::get<1>(info.param) == FrozenLayout::kBfs ? "bfs" : "lg");
+      return "seed" + std::to_string(info.param);
     });
 
 TEST(PostingsCountersTest, CountersReportThePathAndTheEntriesExamined) {

@@ -1,8 +1,9 @@
-// Snapshot format tests: byte-for-byte round trips, the v1/v2/v3
-// cross-version matrix, graceful rejection (a Status, never a crash) of
-// truncated / corrupted / wrong-version / unknown-layout / wrong-dataset
-// files and of structurally broken posting sections, saving over a mapped
-// file, and query bit-identity of snapshot-loaded trees (warm and cold).
+// Snapshot format tests: byte-for-byte round trips, the v1-v4
+// cross-version matrix (v2/v3 in both legacy node layouts), graceful
+// rejection (a Status, never a crash) of truncated / corrupted /
+// wrong-version / unknown-layout / wrong-dataset files and of structurally
+// broken posting sections, saving over a mapped file, and query
+// bit-identity of snapshot-loaded trees (warm and cold).
 
 #include "index/snapshot.h"
 
@@ -19,6 +20,7 @@
 
 #include "data/synthetic.h"
 #include "index/irtree.h"
+#include "index/term_signature.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -29,16 +31,16 @@ namespace {
 // the on-disk layout, so they must not share code with the implementation.
 constexpr size_t kV1HeaderBytes = 48;
 constexpr size_t kV2HeaderBytes = 56;
-constexpr size_t kV3HeaderBytes = 64;
-constexpr size_t kV2HeaderRegionBytes = 4096;
+constexpr size_t kHeaderBytes = 64;  // v3 and v4
+constexpr size_t kHeaderRegionBytes = 4096;  // v2+
 constexpr size_t kVersionOffset = 4;         // uint16
 constexpr size_t kNumNodesOffset = 24;       // uint32
 constexpr size_t kNumLeafEntriesOffset = 28; // uint32
 constexpr size_t kNumTermsOffset = 32;       // uint32
 constexpr size_t kBodyBytesOffset = 40;      // uint64
-constexpr size_t kLayoutOffset = 48;         // uint32, v2+
-constexpr size_t kNumPostTermsOffset = 56;   // uint32, v3
-constexpr size_t kNumPostingsOffset = 60;    // uint32, v3
+constexpr size_t kLayoutOffset = 48;         // uint32, v2+ (0 in v4)
+constexpr size_t kNumPostTermsOffset = 56;   // uint32, v3+
+constexpr size_t kNumPostingsOffset = 60;    // uint32, v3+
 // FrozenNodeRecord (32 bytes) field offsets.
 constexpr size_t kRecordBytes = 32;
 constexpr size_t kRecEntryBeginOffset = 8;   // uint32
@@ -110,12 +112,81 @@ void WriteAt(std::vector<char>* bytes, size_t off, T v) {
 
 size_t Align8(size_t n) { return (n + 7) & ~size_t{7}; }
 
-// Byte offsets (inside the body) of the sections every version shares, as
-// the format defines them: the node region, then the term arena and the
-// leaf-entry id/x/y/sig arrays, each 8-byte aligned. `tail` is where the
-// version-specific sections start (v3: postings; v1/v2: keyword spans).
-struct CommonSections {
+// Byte offsets (inside the body) of the v4 sections, as the format defines
+// them: node records, the four MBR lanes, the term arena, the leaf-entry
+// id/x/y arrays and the posting file, each 8-byte aligned.
+struct V4Sections {
+  size_t nodes = 0;
+  size_t lanes[4] = {};  // min_x, min_y, max_x, max_y
+  size_t terms = 0;
+  size_t leaf_ids = 0;
+  size_t leaf_x = 0;
+  size_t leaf_y = 0;
+  size_t post_begin = 0;
+  size_t post_entries = 0;
+  size_t end = 0;
+
+  std::vector<size_t> Starts() const {
+    return {nodes,    lanes[0], lanes[1], lanes[2],   lanes[3],    terms,
+            leaf_ids, leaf_x,   leaf_y,   post_begin, post_entries};
+  }
+};
+
+// A parsed v4 file: its header counts and section offsets.
+struct V4File {
+  uint32_t num_nodes = 0;
+  uint32_t num_leaf_entries = 0;
+  uint32_t num_terms = 0;
+  uint32_t num_post_terms = 0;
+  uint32_t num_postings = 0;
+  V4Sections body;  // offsets inside the body
+  size_t post_begin = 0;    // file offset of post_begin[0]
+  size_t post_entries = 0;  // file offset of post_entries[0]
+};
+
+V4File ParseV4(const std::vector<char>& v4) {
+  V4File f;
+  EXPECT_EQ(ReadAt<uint16_t>(v4, kVersionOffset), 4u);
+  EXPECT_EQ(ReadAt<uint32_t>(v4, kLayoutOffset), 0u);
+  f.num_nodes = ReadAt<uint32_t>(v4, kNumNodesOffset);
+  f.num_leaf_entries = ReadAt<uint32_t>(v4, kNumLeafEntriesOffset);
+  f.num_terms = ReadAt<uint32_t>(v4, kNumTermsOffset);
+  f.num_post_terms = ReadAt<uint32_t>(v4, kNumPostTermsOffset);
+  f.num_postings = ReadAt<uint32_t>(v4, kNumPostingsOffset);
+  size_t off = 0;
+  const auto section = [&off](size_t bytes) {
+    const size_t begin = off;
+    off += Align8(bytes);
+    return begin;
+  };
+  V4Sections& b = f.body;
+  b.nodes = section(size_t{f.num_nodes} * kRecordBytes);
+  for (size_t& lane : b.lanes) {
+    lane = section(size_t{f.num_nodes} * 8);
+  }
+  b.terms = section(size_t{f.num_terms} * 4);
+  b.leaf_ids = section(size_t{f.num_leaf_entries} * 4);
+  b.leaf_x = section(size_t{f.num_leaf_entries} * 8);
+  b.leaf_y = section(size_t{f.num_leaf_entries} * 8);
+  b.post_begin = section((size_t{f.num_post_terms} + 1) * 4);
+  b.post_entries = section(size_t{f.num_postings} * 4);
+  b.end = off;
+  f.post_begin = kHeaderRegionBytes + b.post_begin;
+  f.post_entries = kHeaderRegionBytes + b.post_entries;
+  EXPECT_EQ(kHeaderRegionBytes + b.end + 8, v4.size());
+  return f;
+}
+
+// Byte offsets (inside the body) of the sections every legacy (v1-v3)
+// version shares: the node region in one of the two legacy node layouts,
+// then the term arena and the leaf-entry id/x/y/signature arrays, each
+// 8-byte aligned. `tail` is where the version-specific sections start (v3:
+// postings; v1/v2: keyword spans). The level-grouped node region tiles the
+// slots into 4096-byte groups of 64 records followed by their four MBR
+// lanes; the bfs one is the v4 node region.
+struct LegacySections {
   bool level_grouped = false;
+  uint32_t nodes = 0;
   size_t terms = 0;
   size_t leaf_ids = 0;
   size_t leaf_x = 0;
@@ -127,12 +198,20 @@ struct CommonSections {
     return level_grouped ? (slot / 64) * 4096 + (slot % 64) * kRecordBytes
                          : slot * kRecordBytes;
   }
+  size_t Lane(int k, uint32_t slot) const {
+    return level_grouped
+               ? (slot / 64) * 4096 + 64 * kRecordBytes + k * 512 +
+                     (slot % 64) * 8
+               : Align8(nodes * kRecordBytes) + k * Align8(size_t{nodes} * 8) +
+                     slot * 8;
+  }
 };
 
-CommonSections SectionsFor(bool level_grouped, uint32_t nodes,
+LegacySections SectionsFor(bool level_grouped, uint32_t nodes,
                            uint32_t entries, uint32_t terms) {
-  CommonSections c;
+  LegacySections c;
   c.level_grouped = level_grouped;
+  c.nodes = nodes;
   size_t off = level_grouped ? (nodes + 63) / 64 * 4096
                              : Align8(nodes * kRecordBytes) +
                                    4 * Align8(size_t{nodes} * 8);
@@ -150,35 +229,63 @@ CommonSections SectionsFor(bool level_grouped, uint32_t nodes,
   return c;
 }
 
-// A parsed v3 file: its header fields and the offsets of the posting
-// sections inside the file.
-struct V3File {
-  uint32_t num_nodes = 0;
-  uint32_t num_leaf_entries = 0;
-  uint32_t num_terms = 0;
-  uint32_t num_post_terms = 0;
-  uint32_t num_postings = 0;
-  CommonSections sections;
-  size_t post_begin = 0;    // file offset of post_begin[0]
-  size_t post_entries = 0;  // file offset of post_entries[0]
-};
+// The keyword set of every leaf entry, recovered by transposing a posting
+// file (post_begin/post_entries at file offsets `begin`/`entries`).
+std::vector<TermSet> KeywordsFromPostings(const std::vector<char>& file,
+                                          uint32_t num_leaf_entries,
+                                          uint32_t num_post_terms,
+                                          size_t begin, size_t entries) {
+  std::vector<TermSet> keywords(num_leaf_entries);
+  for (uint32_t t = 0; t < num_post_terms; ++t) {
+    const uint32_t first = ReadAt<uint32_t>(file, begin + 4 * t);
+    const uint32_t last = ReadAt<uint32_t>(file, begin + 4 * (t + 1));
+    for (uint32_t i = first; i < last; ++i) {
+      keywords[ReadAt<uint32_t>(file, entries + 4 * i)].push_back(t);
+    }
+  }
+  return keywords;
+}
 
-V3File ParseV3(const std::vector<char>& v3) {
-  V3File f;
-  EXPECT_EQ(ReadAt<uint16_t>(v3, kVersionOffset), 3u);
-  f.num_nodes = ReadAt<uint32_t>(v3, kNumNodesOffset);
-  f.num_leaf_entries = ReadAt<uint32_t>(v3, kNumLeafEntriesOffset);
-  f.num_terms = ReadAt<uint32_t>(v3, kNumTermsOffset);
-  f.num_post_terms = ReadAt<uint32_t>(v3, kNumPostTermsOffset);
-  f.num_postings = ReadAt<uint32_t>(v3, kNumPostingsOffset);
-  f.sections = SectionsFor(ReadAt<uint32_t>(v3, kLayoutOffset) == 1,
-                           f.num_nodes, f.num_leaf_entries, f.num_terms);
-  f.post_begin = kV2HeaderRegionBytes + f.sections.tail;
-  f.post_entries =
-      f.post_begin + Align8((size_t{f.num_post_terms} + 1) * 4);
-  EXPECT_EQ(f.post_entries + Align8(size_t{f.num_postings} * 4) + 8,
-            v3.size());
-  return f;
+// Synthesizes the byte-exact v3 file a v3 build wrote for the same tree as
+// the v4 file `v4`, in either legacy node layout: the node records and MBR
+// lanes moved into that layout's node region, the per-entry Bloom
+// signatures (`leaf_sigs`) re-inserted after the leaf y array, and the
+// layout id in the header.
+std::vector<char> MakeV3File(const std::vector<char>& v4, bool level_grouped) {
+  const V4File f = ParseV4(v4);
+  const V4Sections& b = f.body;
+  const char* body = v4.data() + kHeaderRegionBytes;
+  const LegacySections c = SectionsFor(level_grouped, f.num_nodes,
+                                       f.num_leaf_entries, f.num_terms);
+  const size_t post_bytes = b.end - b.post_begin;
+  std::vector<char> v3_body(c.tail + post_bytes, '\0');
+  for (uint32_t slot = 0; slot < f.num_nodes; ++slot) {
+    memcpy(v3_body.data() + c.Record(slot), body + b.nodes + slot * kRecordBytes,
+           kRecordBytes);
+    for (int k = 0; k < 4; ++k) {
+      memcpy(v3_body.data() + c.Lane(k, slot), body + b.lanes[k] + slot * 8,
+             8);
+    }
+  }
+  memcpy(v3_body.data() + c.terms, body + b.terms, b.leaf_ids - b.terms);
+  memcpy(v3_body.data() + c.leaf_ids, body + b.leaf_ids,
+         b.post_begin - b.leaf_ids);
+  const std::vector<TermSet> keywords = KeywordsFromPostings(
+      v4, f.num_leaf_entries, f.num_post_terms, f.post_begin, f.post_entries);
+  for (uint32_t e = 0; e < f.num_leaf_entries; ++e) {
+    const uint64_t sig = TermSetSignature(keywords[e]);
+    memcpy(v3_body.data() + c.leaf_sigs + 8 * e, &sig, sizeof(sig));
+  }
+  memcpy(v3_body.data() + c.tail, body + b.post_begin, post_bytes);
+
+  std::vector<char> out(kHeaderRegionBytes + v3_body.size() + 8, '\0');
+  memcpy(out.data(), v4.data(), kHeaderBytes);
+  WriteAt<uint16_t>(&out, kVersionOffset, 3);
+  WriteAt<uint32_t>(&out, kLayoutOffset, level_grouped ? 1 : 0);
+  WriteAt<uint64_t>(&out, kBodyBytesOffset, v3_body.size());
+  memcpy(out.data() + kHeaderRegionBytes, v3_body.data(), v3_body.size());
+  Resign(&out);
+  return out;
 }
 
 // Synthesizes the byte-exact file a pre-v3 build wrote for the same tree
@@ -190,22 +297,25 @@ V3File ParseV3(const std::vector<char>& v3) {
 // backward compatibility without keeping an old binary around.
 std::vector<char> MakeLegacyFile(const std::vector<char>& v3,
                                  uint16_t version) {
-  const V3File f = ParseV3(v3);
-  const CommonSections& c = f.sections;
-  const char* body = v3.data() + kV2HeaderRegionBytes;
-  std::vector<std::vector<uint32_t>> keywords(f.num_leaf_entries);
-  for (uint32_t t = 0; t < f.num_post_terms; ++t) {
-    const uint32_t begin = ReadAt<uint32_t>(v3, f.post_begin + 4 * t);
-    const uint32_t end = ReadAt<uint32_t>(v3, f.post_begin + 4 * (t + 1));
-    for (uint32_t i = begin; i < end; ++i) {
-      keywords[ReadAt<uint32_t>(v3, f.post_entries + 4 * i)].push_back(t);
-    }
-  }
+  EXPECT_EQ(ReadAt<uint16_t>(v3, kVersionOffset), 3u);
+  const uint32_t num_nodes = ReadAt<uint32_t>(v3, kNumNodesOffset);
+  const uint32_t num_leaf_entries = ReadAt<uint32_t>(v3, kNumLeafEntriesOffset);
+  const uint32_t num_terms = ReadAt<uint32_t>(v3, kNumTermsOffset);
+  const uint32_t num_post_terms = ReadAt<uint32_t>(v3, kNumPostTermsOffset);
+  const LegacySections c =
+      SectionsFor(ReadAt<uint32_t>(v3, kLayoutOffset) == 1, num_nodes,
+                  num_leaf_entries, num_terms);
+  const size_t post_begin = kHeaderRegionBytes + c.tail;
+  const size_t post_entries =
+      post_begin + Align8((size_t{num_post_terms} + 1) * 4);
+  const char* body = v3.data() + kHeaderRegionBytes;
+  const std::vector<TermSet> keywords = KeywordsFromPostings(
+      v3, num_leaf_entries, num_post_terms, post_begin, post_entries);
   std::vector<char> node_region(body, body + c.terms);
   std::vector<uint32_t> arena;
-  std::vector<uint32_t> span_begin(f.num_leaf_entries);
-  std::vector<uint32_t> span_count(f.num_leaf_entries);
-  for (uint32_t slot = 0; slot < f.num_nodes; ++slot) {
+  std::vector<uint32_t> span_begin(num_leaf_entries);
+  std::vector<uint32_t> span_count(num_leaf_entries);
+  for (uint32_t slot = 0; slot < num_nodes; ++slot) {
     const size_t rec = c.Record(slot);
     const uint32_t term_begin =
         ReadAt<uint32_t>(node_region, rec + kRecTermBeginOffset);
@@ -214,7 +324,7 @@ std::vector<char> MakeLegacyFile(const std::vector<char>& v3,
     WriteAt<uint32_t>(&node_region, rec + kRecTermBeginOffset,
                       static_cast<uint32_t>(arena.size()));
     for (uint32_t i = 0; i < term_count; ++i) {
-      arena.push_back(ReadAt<uint32_t>(v3, kV2HeaderRegionBytes + c.terms +
+      arena.push_back(ReadAt<uint32_t>(v3, kHeaderRegionBytes + c.terms +
                                                4 * (term_begin + i)));
     }
     if ((ReadAt<uint16_t>(node_region, rec + kRecFlagsOffset) & 1) == 0) {
@@ -231,9 +341,9 @@ std::vector<char> MakeLegacyFile(const std::vector<char>& v3,
     }
   }
   const uint32_t legacy_terms = static_cast<uint32_t>(arena.size());
-  const CommonSections lc = SectionsFor(c.level_grouped, f.num_nodes,
-                                        f.num_leaf_entries, legacy_terms);
-  const size_t spans = Align8(size_t{f.num_leaf_entries} * 4);
+  const LegacySections lc = SectionsFor(c.level_grouped, num_nodes,
+                                        num_leaf_entries, legacy_terms);
+  const size_t spans = Align8(size_t{num_leaf_entries} * 4);
   std::vector<char> legacy_body(lc.tail + 2 * spans, '\0');
   memcpy(legacy_body.data(), node_region.data(), node_region.size());
   memcpy(legacy_body.data() + lc.terms, arena.data(), arena.size() * 4);
@@ -244,7 +354,7 @@ std::vector<char> MakeLegacyFile(const std::vector<char>& v3,
   memcpy(legacy_body.data() + lc.tail + spans, span_count.data(),
          span_count.size() * 4);
 
-  const size_t region = version == 1 ? kV1HeaderBytes : kV2HeaderRegionBytes;
+  const size_t region = version == 1 ? kV1HeaderBytes : kHeaderRegionBytes;
   std::vector<char> out(region + legacy_body.size() + 8, '\0');
   memcpy(out.data(), v3.data(),
          version == 1 ? kV1HeaderBytes : kV2HeaderBytes);
@@ -299,6 +409,35 @@ class SnapshotRoundTripTest : public ::testing::Test {
     cleanup_.push_back(path);
     return path;
   }
+
+  /// A forged legacy file of `tree` must load warm and cold (both convert
+  /// into an owned body), pass the invariants, answer like `tree`, and
+  /// re-save byte-identical to the tree's v4 file `v4`.
+  void ExpectLegacyFileLoads(const Dataset& ds, IrTree& tree,
+                             const std::vector<char>& v4,
+                             const std::vector<char>& legacy,
+                             uint16_t version, uint64_t seed) {
+    const std::string path = Track(TempPath("snap_legacy.cqix"));
+    WriteAll(path, legacy);
+    auto info = ReadSnapshotInfo(path);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(info->version, version);
+    SnapshotLoadOptions cold_options;
+    cold_options.cold = true;
+    tree.Freeze();
+    for (const SnapshotLoadOptions& load_options :
+         {SnapshotLoadOptions(), cold_options}) {
+      auto loaded = LoadSnapshot(&ds, path, load_options);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      (*loaded)->CheckInvariants();
+      EXPECT_FALSE((*loaded)->MemoryStats().cold);
+      ExpectSameAnswers(tree, **loaded, ds, seed);
+      const std::string resaved = Track(TempPath("snap_resave.cqix"));
+      ASSERT_TRUE(SaveSnapshot(loaded->get(), resaved).ok());
+      EXPECT_EQ(ReadAll(resaved), v4);
+    }
+  }
+
   std::vector<std::string> cleanup_;
 };
 
@@ -374,84 +513,77 @@ TEST_F(SnapshotRoundTripTest, InfoReportsHeaderFields) {
   EXPECT_EQ(info->num_nodes, tree.NodeCount());
   EXPECT_EQ(info->num_leaf_entries, 300u);
   EXPECT_EQ(info->height, static_cast<uint32_t>(tree.Height()));
-  EXPECT_EQ(info->layout, FrozenLayout::kBfs);
-  EXPECT_EQ(info->header_bytes, kV2HeaderRegionBytes);
-  EXPECT_EQ(info->file_bytes, kV2HeaderRegionBytes + info->body_bytes + 8u);
+  EXPECT_EQ(info->header_bytes, kHeaderRegionBytes);
+  EXPECT_EQ(info->file_bytes, kHeaderRegionBytes + info->body_bytes + 8u);
   // The posting file holds one entry per (object, keyword) pair.
   EXPECT_EQ(info->num_postings, ds.TotalKeywordCount());
   EXPECT_GT(info->num_post_terms, 0u);
+  // The body is exactly the v4 sections (ParseV4 checks the file size).
+  ParseV4(ReadAll(path));
 }
 
 TEST_F(SnapshotRoundTripTest, V1FileLoadsBitIdentically) {
   // Cross-version matrix, v1 column: a synthesized v1 (48-byte header,
   // keyword-span body) snapshot of the same tree must load, answer queries
-  // bit-identically to the v3 load (visit logs included), and re-save as
-  // the v3 file — the postings derived from its spans are byte for byte
+  // bit-identically to the v4 load (visit logs included), and re-save as
+  // the v4 file — the postings derived from its spans are byte for byte
   // the ones Freeze() writes.
   Dataset ds = test::MakeRandomDataset(400, 35, 3.0, 17);
   IrTree tree(&ds);
-  const std::string v3_path = Track(TempPath("snap_v3.cqix"));
-  ASSERT_TRUE(SaveSnapshot(&tree, v3_path).ok());
-  const std::vector<char> v3 = ReadAll(v3_path);
+  const std::string v4_path = Track(TempPath("snap_v4.cqix"));
+  ASSERT_TRUE(SaveSnapshot(&tree, v4_path).ok());
+  const std::vector<char> v4 = ReadAll(v4_path);
 
   const std::string v1_path = Track(TempPath("snap_v1.cqix"));
-  WriteAll(v1_path, MakeLegacyFile(v3, 1));
+  WriteAll(v1_path, MakeLegacyFile(MakeV3File(v4, false), 1));
 
   auto info = ReadSnapshotInfo(v1_path);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(info->version, 1u);
-  EXPECT_EQ(info->layout, FrozenLayout::kBfs);
   EXPECT_EQ(info->header_bytes, kV1HeaderBytes);
   EXPECT_EQ(info->num_postings, 0u);
 
   auto from_v1 = LoadSnapshot(&ds, v1_path);
   ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
-  auto from_v3 = LoadSnapshot(&ds, v3_path);
-  ASSERT_TRUE(from_v3.ok()) << from_v3.status().ToString();
+  auto from_v4 = LoadSnapshot(&ds, v4_path);
+  ASSERT_TRUE(from_v4.ok()) << from_v4.status().ToString();
   (*from_v1)->CheckInvariants();
-  ExpectSameAnswers(**from_v3, **from_v1, ds, 18);
+  ExpectSameAnswers(**from_v4, **from_v1, ds, 18);
 
-  // Saving the v1-loaded tree writes the current (v3) format with the
+  // Saving the v1-loaded tree writes the current (v4) format with the
   // identical body.
   const std::string resaved = Track(TempPath("snap_v1_resave.cqix"));
   ASSERT_TRUE(SaveSnapshot(from_v1->get(), resaved).ok());
-  EXPECT_EQ(ReadAll(resaved), v3);
+  EXPECT_EQ(ReadAll(resaved), v4);
 }
 
 TEST_F(SnapshotRoundTripTest, V2FilesLoadBitIdenticallyInBothLayouts) {
   // v2 column: keyword-span bodies with the 4096-byte header region, in
-  // both node layouts. Cold loads of them convert into an owned body too.
+  // both legacy node layouts.
   Dataset ds = test::MakeRandomDataset(700, 45, 3.5, 23);
-  for (FrozenLayout layout :
-       {FrozenLayout::kBfs, FrozenLayout::kLevelGrouped}) {
-    IrTree::Options options;
-    options.frozen_layout = layout;
-    IrTree tree(&ds, options);
-    const std::string v3_path = Track(TempPath("snap_v3_both.cqix"));
-    ASSERT_TRUE(SaveSnapshot(&tree, v3_path).ok());
-    const std::vector<char> v3 = ReadAll(v3_path);
-    const std::string v2_path = Track(TempPath("snap_v2_both.cqix"));
-    WriteAll(v2_path, MakeLegacyFile(v3, 2));
+  IrTree tree(&ds);
+  const std::string v4_path = Track(TempPath("snap_v4.cqix"));
+  ASSERT_TRUE(SaveSnapshot(&tree, v4_path).ok());
+  const std::vector<char> v4 = ReadAll(v4_path);
+  for (const bool level_grouped : {false, true}) {
+    SCOPED_TRACE(level_grouped ? "level-grouped" : "bfs");
+    ExpectLegacyFileLoads(ds, tree, v4,
+                          MakeLegacyFile(MakeV3File(v4, level_grouped), 2), 2,
+                          24);
+  }
+}
 
-    auto info = ReadSnapshotInfo(v2_path);
-    ASSERT_TRUE(info.ok()) << info.status().ToString();
-    EXPECT_EQ(info->version, 2u);
-    EXPECT_EQ(info->layout, layout);
-
-    SnapshotLoadOptions cold_options;
-    cold_options.cold = true;
-    for (const SnapshotLoadOptions& load_options :
-         {SnapshotLoadOptions(), cold_options}) {
-      auto from_v2 = LoadSnapshot(&ds, v2_path, load_options);
-      ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
-      (*from_v2)->CheckInvariants();
-      EXPECT_EQ((*from_v2)->MemoryStats().layout, layout);
-      tree.Freeze();
-      ExpectSameAnswers(tree, **from_v2, ds, 24);
-      const std::string resaved = Track(TempPath("snap_v2_resave.cqix"));
-      ASSERT_TRUE(SaveSnapshot(from_v2->get(), resaved).ok());
-      EXPECT_EQ(ReadAll(resaved), v3) << FrozenLayoutName(layout);
-    }
+TEST_F(SnapshotRoundTripTest, V3FilesLoadBitIdenticallyInBothLayouts) {
+  // v3 column: posting-file bodies that still carry the per-entry Bloom
+  // signatures, in both legacy node layouts.
+  Dataset ds = test::MakeRandomDataset(700, 45, 3.5, 25);
+  IrTree tree(&ds, IrTree::Options{12});
+  const std::string v4_path = Track(TempPath("snap_v4.cqix"));
+  ASSERT_TRUE(SaveSnapshot(&tree, v4_path).ok());
+  const std::vector<char> v4 = ReadAll(v4_path);
+  for (const bool level_grouped : {false, true}) {
+    SCOPED_TRACE(level_grouped ? "level-grouped" : "bfs");
+    ExpectLegacyFileLoads(ds, tree, v4, MakeV3File(v4, level_grouped), 3, 26);
   }
 }
 
@@ -493,30 +625,44 @@ TEST_F(SnapshotRoundTripTest, SaveOverAMappedFileKeepsTheLoadedTreeValid) {
 }
 
 TEST_F(SnapshotRoundTripTest, LevelGroupedRoundTripAndInspect) {
+  // A level-grouped v3 file (the page-local node layout v4 dropped)
+  // inspects as v3, loads, refreezes after a mutation, and saves as v4.
   Dataset ds = test::MakeRandomDataset(600, 40, 3.0, 29);
-  IrTree::Options options;
-  options.frozen_layout = FrozenLayout::kLevelGrouped;
-  IrTree tree(&ds, options);
+  std::vector<ObjectId> base;
+  for (ObjectId id = 0; id < 590; ++id) {
+    base.push_back(id);
+  }
+  IrTree tree(&ds, IrTree::Options(), base);
+  const std::string v4_path = Track(TempPath("snap_v4.cqix"));
+  ASSERT_TRUE(SaveSnapshot(&tree, v4_path).ok());
+  const std::vector<char> v3 = MakeV3File(ReadAll(v4_path), true);
   const std::string path = Track(TempPath("snap_lg.cqix"));
-  ASSERT_TRUE(SaveSnapshot(&tree, path).ok());
+  WriteAll(path, v3);
 
   auto info = ReadSnapshotInfo(path);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info->layout, FrozenLayout::kLevelGrouped);
+  EXPECT_EQ(info->version, 3u);
+  EXPECT_EQ(info->header_bytes, kHeaderRegionBytes);
+  EXPECT_EQ(info->file_bytes, v3.size());
 
   auto loaded = LoadSnapshot(&ds, path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   (*loaded)->CheckInvariants();
-  EXPECT_EQ((*loaded)->MemoryStats().layout, FrozenLayout::kLevelGrouped);
-
-  // The loaded tree adopts the file's layout: refreeze keeps it.
+  ASSERT_TRUE((*loaded)->Insert(595).ok());
   ASSERT_TRUE((*loaded)->Refreeze().ok());
-  EXPECT_EQ((*loaded)->MemoryStats().layout, FrozenLayout::kLevelGrouped);
+  (*loaded)->CheckInvariants();
   const std::string resaved = Track(TempPath("snap_lg2.cqix"));
   ASSERT_TRUE(SaveSnapshot(loaded->get(), resaved).ok());
   auto info2 = ReadSnapshotInfo(resaved);
   ASSERT_TRUE(info2.ok());
-  EXPECT_EQ(info2->layout, FrozenLayout::kLevelGrouped);
+  EXPECT_EQ(info2->version, kSnapshotVersion);
+
+  // Same bytes as a v4 snapshot built from scratch over the same live set.
+  base.push_back(595);
+  IrTree fresh(&ds, IrTree::Options(), base);
+  const std::string fresh_path = Track(TempPath("snap_fresh.cqix"));
+  ASSERT_TRUE(SaveSnapshot(&fresh, fresh_path).ok());
+  EXPECT_EQ(ReadAll(resaved), ReadAll(fresh_path));
 }
 
 TEST_F(SnapshotRoundTripTest, ColdLoadAnswersIdenticallyAndReportsStats) {
@@ -619,7 +765,7 @@ class SnapshotRejectionTest : public SnapshotRoundTripTest {
     path_ = Track(TempPath("snap_reject.cqix"));
     ASSERT_TRUE(SaveSnapshot(tree_.get(), path_).ok());
     bytes_ = ReadAll(path_);
-    ASSERT_GT(bytes_.size(), kV3HeaderBytes);
+    ASSERT_GT(bytes_.size(), kHeaderBytes);
   }
 
   /// Writes a mutated copy and expects LoadSnapshot to fail cleanly.
@@ -631,6 +777,33 @@ class SnapshotRejectionTest : public SnapshotRoundTripTest {
     EXPECT_FALSE(loaded.ok()) << what;
   }
 
+  /// Truncation and sampled bit-flip sweeps over a legacy file, which must
+  /// itself load: the old formats stay guarded, not just loadable.
+  void SweepLegacyFile(const std::vector<char>& file, size_t header_bytes,
+                       const std::string& what) {
+    const std::string ok_path = Track(TempPath("snap_legacy_ok.cqix"));
+    WriteAll(ok_path, file);
+    auto check = LoadSnapshot(&dataset_, ok_path);
+    ASSERT_TRUE(check.ok()) << what << ": " << check.status().ToString();
+
+    std::vector<size_t> sizes;
+    for (size_t s = 0; s <= header_bytes; s += 7) {
+      sizes.push_back(s);
+    }
+    sizes.push_back(file.size() - 1);
+    sizes.push_back(file.size() - 8);
+    sizes.push_back(file.size() / 2);
+    for (size_t s : sizes) {
+      std::vector<char> cut(file.begin(), file.begin() + s);
+      ExpectRejected(cut, what + " truncated to " + std::to_string(s));
+    }
+    for (size_t pos = 0; pos + 8 < file.size(); pos += 131) {
+      std::vector<char> mutated = file;
+      mutated[pos] ^= 0x20;
+      ExpectRejected(mutated, what + " bit flip at " + std::to_string(pos));
+    }
+  }
+
   Dataset dataset_;
   std::unique_ptr<IrTree> tree_;
   std::string path_;
@@ -638,23 +811,21 @@ class SnapshotRejectionTest : public SnapshotRoundTripTest {
 };
 
 TEST_F(SnapshotRejectionTest, TruncationAtEveryHeaderBoundaryFails) {
-  // Every prefix of the 64-byte header, the header-region boundary, the
-  // posting sections' boundaries, the empty file, and the file missing its
-  // trailer must all be rejected with a Status.
-  const V3File f = ParseV3(bytes_);
+  // Every prefix of the 64-byte header, the header-region boundary, every
+  // v4 body section's boundary, and the file missing its trailer must all
+  // be rejected with a Status.
+  const V4File f = ParseV4(bytes_);
   std::vector<size_t> sizes;
-  for (size_t s = 0; s <= kV3HeaderBytes; ++s) {
+  for (size_t s = 0; s <= kHeaderBytes; ++s) {
     sizes.push_back(s);  // Through the header fields, incl. posting counts.
   }
-  sizes.push_back(f.post_begin);        // Posting offsets missing.
-  sizes.push_back(f.post_begin + 4);    // Offsets cut short.
-  sizes.push_back(f.post_entries);      // Posting entries missing.
-  sizes.push_back(f.post_entries + 4);  // Entries cut short.
-  sizes.push_back(kV2HeaderRegionBytes - 1);  // Padding cut short.
-  sizes.push_back(kV2HeaderRegionBytes);      // Header region alone.
-  sizes.push_back(kV2HeaderRegionBytes + 8);  // First body bytes only.
+  for (size_t start : f.body.Starts()) {
+    sizes.push_back(kHeaderRegionBytes + start);      // Section missing.
+    sizes.push_back(kHeaderRegionBytes + start + 4);  // Section cut short.
+  }
+  sizes.push_back(kHeaderRegionBytes - 1);  // Padding cut short.
+  sizes.push_back(kHeaderRegionBytes + f.body.end);  // Trailer missing.
   sizes.push_back(bytes_.size() - 1);  // Trailer cut short.
-  sizes.push_back(bytes_.size() - 8);  // Trailer missing entirely.
   sizes.push_back(bytes_.size() / 2);  // Body cut mid-way.
   for (size_t s : sizes) {
     std::vector<char> cut(bytes_.begin(), bytes_.begin() + s);
@@ -667,33 +838,13 @@ TEST_F(SnapshotRejectionTest, TruncationAtEveryHeaderBoundaryFails) {
 }
 
 TEST_F(SnapshotRejectionTest, V1TruncationAndCorruptionFail) {
-  // The rejection sweeps re-run against the synthesized v1 file: the old
-  // header format stays guarded, not just loadable.
-  const std::vector<char> v1 = MakeLegacyFile(bytes_, 1);
-  const std::string ok_path = Track(TempPath("snap_v1_ok.cqix"));
-  WriteAll(ok_path, v1);
-  auto check = LoadSnapshot(&dataset_, ok_path);
-  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  SweepLegacyFile(MakeLegacyFile(MakeV3File(bytes_, false), 1),
+                  kV1HeaderBytes, "v1");
+}
 
-  std::vector<size_t> sizes;
-  for (size_t s = 0; s <= kV1HeaderBytes; s += 7) {
-    sizes.push_back(s);
-  }
-  sizes.push_back(v1.size() - 1);
-  sizes.push_back(v1.size() - 8);
-  sizes.push_back(v1.size() / 2);
-  for (size_t s : sizes) {
-    std::vector<char> cut(v1.begin(), v1.begin() + s);
-    ExpectRejected(cut, "v1 truncated to " + std::to_string(s) + " bytes");
-  }
-  for (size_t pos = 0; pos + 8 < v1.size(); pos += 131) {
-    std::vector<char> mutated = v1;
-    mutated[pos] ^= 0x20;
-    if (mutated == v1) {
-      continue;
-    }
-    ExpectRejected(mutated, "v1 bit flip at offset " + std::to_string(pos));
-  }
+TEST_F(SnapshotRejectionTest, V3TruncationAndCorruptionFail) {
+  SweepLegacyFile(MakeV3File(bytes_, false), kHeaderBytes, "v3 bfs");
+  SweepLegacyFile(MakeV3File(bytes_, true), kHeaderBytes, "v3 level-grouped");
 }
 
 TEST_F(SnapshotRejectionTest, BrokenPostingSectionsFailWithStatus) {
@@ -701,7 +852,7 @@ TEST_F(SnapshotRejectionTest, BrokenPostingSectionsFailWithStatus) {
   // re-signed) must be rejected by the load-time validation, never reach a
   // query: offsets that do not start at 0, decrease, or do not end at Σ df;
   // entries past the leaf entries; runs out of order or with duplicates.
-  const V3File f = ParseV3(bytes_);
+  const V4File f = ParseV4(bytes_);
   ASSERT_GT(f.num_post_terms, 2u);
   const auto offset = [&](uint32_t t) { return f.post_begin + 4 * t; };
   const auto entry = [&](uint32_t i) { return f.post_entries + 4 * i; };
@@ -749,12 +900,12 @@ TEST_F(SnapshotRejectionTest, LegacySpanCorruptionFailsWithStatus) {
   // v1/v2 bodies are converted on load; a re-signed legacy file whose
   // keyword span leaves the term arena, or names a term the dataset does
   // not have, is rejected before any of it is read.
-  std::vector<char> v2 = MakeLegacyFile(bytes_, 2);
+  std::vector<char> v2 = MakeLegacyFile(MakeV3File(bytes_, false), 2);
   const uint32_t nodes = ReadAt<uint32_t>(v2, kNumNodesOffset);
   const uint32_t entries = ReadAt<uint32_t>(v2, kNumLeafEntriesOffset);
   const uint32_t terms = ReadAt<uint32_t>(v2, kNumTermsOffset);
-  const CommonSections c = SectionsFor(false, nodes, entries, terms);
-  const size_t span_begin = kV2HeaderRegionBytes + c.tail;
+  const LegacySections c = SectionsFor(false, nodes, entries, terms);
+  const size_t span_begin = kHeaderRegionBytes + c.tail;
   const size_t span_count = span_begin + Align8(size_t{entries} * 4);
   uint32_t e = 0;  // An entry with a non-empty keyword set.
   while (ReadAt<uint32_t>(v2, span_count + 4 * e) == 0) {
@@ -767,28 +918,39 @@ TEST_F(SnapshotRejectionTest, LegacySpanCorruptionFailsWithStatus) {
   ExpectRejected(out_of_arena, "legacy span past the term arena");
   std::vector<char> bad_term = v2;
   const uint32_t first_term = ReadAt<uint32_t>(v2, span_begin + 4 * e);
-  WriteAt<uint32_t>(&bad_term, kV2HeaderRegionBytes + c.terms + 4 * first_term,
+  WriteAt<uint32_t>(&bad_term, kHeaderRegionBytes + c.terms + 4 * first_term,
                     0xfffffff0u);
   Resign(&bad_term);
   ExpectRejected(bad_term, "legacy keyword id past the vocabulary");
 }
 
 TEST_F(SnapshotRejectionTest, UnknownLayoutIdFailsWithStatus) {
-  // A future/corrupt layout id must come back as a clean Status even when
-  // the checksum is valid (the file is re-signed), never a crash or a
-  // misparse.
-  for (uint32_t bad : {2u, 7u, 0xffffffffu}) {
-    std::vector<char> mutated = bytes_;
-    memcpy(mutated.data() + kLayoutOffset, &bad, sizeof(bad));
-    Resign(&mutated);
+  // The layout word must come back as a clean Status even when the checksum
+  // is valid (the file is re-signed), never a crash or a misparse: v2/v3
+  // files name one of the two legacy node layouts (anything else is an
+  // unknown id), and v4 requires the word to be zero.
+  const auto expect_rejected = [&](std::vector<char> file, uint32_t layout,
+                                   StatusCode code, const std::string& what) {
+    WriteAt<uint32_t>(&file, kLayoutOffset, layout);
+    Resign(&file);
     const std::string path = Track(TempPath("snap_badlayout.cqix"));
-    WriteAll(path, mutated);
+    WriteAll(path, file);
     auto loaded = LoadSnapshot(&dataset_, path);
-    ASSERT_FALSE(loaded.ok());
+    ASSERT_FALSE(loaded.ok()) << what << " layout " << layout;
+    EXPECT_EQ(loaded.status().code(), code) << loaded.status().ToString();
     EXPECT_NE(loaded.status().ToString().find("layout"), std::string::npos)
         << loaded.status().ToString();
     auto info = ReadSnapshotInfo(path);
-    EXPECT_FALSE(info.ok());
+    EXPECT_FALSE(info.ok()) << what << " layout " << layout;
+  };
+  for (uint32_t bad : {1u, 2u, 7u, 0xffffffffu}) {
+    expect_rejected(bytes_, bad, StatusCode::kCorruption, "v4");
+  }
+  const std::vector<char> v3 = MakeV3File(bytes_, false);
+  const std::vector<char> v2 = MakeLegacyFile(v3, 2);
+  for (uint32_t bad : {2u, 7u, 0xffffffffu}) {
+    expect_rejected(v3, bad, StatusCode::kInvalidArgument, "v3");
+    expect_rejected(v2, bad, StatusCode::kInvalidArgument, "v2");
   }
 }
 
@@ -797,7 +959,7 @@ TEST_F(SnapshotRejectionTest, ColdLoadRejectsCorruptionToo) {
   // it must reject the same corrupt files the warm path does.
   SnapshotLoadOptions cold_options;
   cold_options.cold = true;
-  for (size_t pos : {size_t{8}, kV2HeaderRegionBytes + 16,
+  for (size_t pos : {size_t{8}, kHeaderRegionBytes + 16,
                      bytes_.size() - 16}) {
     std::vector<char> mutated = bytes_;
     mutated[pos] ^= 0x04;
@@ -829,8 +991,19 @@ TEST_F(SnapshotRejectionTest, WrongEndianMarkerFails) {
 
 TEST_F(SnapshotRejectionTest, EveryCorruptedByteIsDetected) {
   // Flipping any single bit in header or body breaks the trailer checksum
-  // (or an earlier header check); sample positions across the whole file.
+  // (or an earlier header check); sample positions across the whole file,
+  // plus the first byte of every v4 body section.
+  std::vector<size_t> positions;
   for (size_t pos = 0; pos + 8 < bytes_.size(); pos += 97) {
+    positions.push_back(pos);
+  }
+  const V4File f = ParseV4(bytes_);
+  for (size_t start : f.body.Starts()) {
+    if (start < f.body.end) {
+      positions.push_back(kHeaderRegionBytes + start);
+    }
+  }
+  for (size_t pos : positions) {
     std::vector<char> mutated = bytes_;
     mutated[pos] ^= 0x20;
     if (mutated == bytes_) {

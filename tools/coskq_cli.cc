@@ -40,17 +40,13 @@
 //       --mutation-capacity caps lifetime inserts). Drains gracefully on
 //       SIGTERM/SIGINT and prints the final stats.
 //   index build <dataset.txt> <out.cqix> [--max-entries M]
-//         [--layout <bfs|level-grouped>]
 //       Builds the IR-tree once and writes the frozen flat representation
 //       as a versioned snapshot, so `batch`/`serve --index-snapshot` can
-//       skip the build on every start. --layout level-grouped emits the
-//       page-local body layout (fewest pages per parent expansion; the
-//       right choice for cold/out-of-core serving).
+//       skip the build on every start.
 //   index inspect <snapshot.cqix>
-//       Validates a snapshot (header, checksum) and prints its fields,
-//       including the body layout and a per-section byte/page breakdown.
+//       Validates a snapshot (header, checksum) and prints its fields and
+//       a per-section byte/page breakdown of the body.
 //   shard build <dataset.txt> <outdir> [--shards K] [--max-entries M]
-//         [--layout <bfs|level-grouped>]
 //       STR-partitions the dataset into K spatial shards, writes each
 //       shard's dataset file and frozen index snapshot into <outdir>, and
 //       writes the versioned cluster manifest (cluster.cqmf) binding them
@@ -95,11 +91,11 @@
 #include "data/query_gen.h"
 #include "data/synthetic.h"
 #include "engine/batch_engine.h"
-#include "index/frozen_layout.h"
 #include "index/irtree.h"
 #include "index/snapshot.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "util/atomic_file.h"
 #include "util/random.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -127,10 +123,10 @@ int Usage() {
                "[--mutation-capacity C]\n"
                "            [--result-cache-mb MB] [--cache-cell-bits B]\n"
                "  coskq_cli index build <dataset.txt> <out.cqix> "
-               "[--max-entries M] [--layout <bfs|level-grouped>]\n"
+               "[--max-entries M]\n"
                "  coskq_cli index inspect <snapshot.cqix>\n"
-               "  coskq_cli shard build <dataset.txt> <outdir> [--shards K]\n"
-               "            [--max-entries M] [--layout <bfs|level-grouped>]\n"
+               "  coskq_cli shard build <dataset.txt> <outdir> [--shards K] "
+               "[--max-entries M]\n"
                "  coskq_cli route <manifest.cqmf> --shard HOST:PORT "
                "[--shard HOST:PORT ...]\n"
                "            [--port P] [--port-file PATH] "
@@ -143,22 +139,14 @@ int Usage() {
   return 2;
 }
 
-// Writes "<port>\n" to `path` atomically (temp file + rename) so a watcher
-// polling the path never observes a partially written file.
-bool WritePortFileAtomic(const std::string& path, uint16_t port) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    return false;
+// Writes "<port>\n" to `path` atomically, so a watcher polling the path
+// never observes a partially written file; warns on failure.
+void WritePortFile(const std::string& path, uint16_t port) {
+  const Status status = WriteFileAtomically(path, std::to_string(port) + "\n");
+  if (!status.ok()) {
+    std::fprintf(stderr, "warning: could not write port file: %s\n",
+                 status.ToString().c_str());
   }
-  const bool wrote = std::fprintf(f, "%u\n", port) > 0;
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (!wrote || !flushed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
 }
 
 int RunGenerate(const std::vector<std::string>& args) {
@@ -317,9 +305,9 @@ std::unique_ptr<IrTree> PrepareIndex(const Dataset& dataset,
 void PrintMemoryStats(const IrTree& index) {
   const IndexMemoryStats mem = index.MemoryStats();
   std::printf(
-      "index memory: layout=%s %s body=%s resident=%s major_faults=%llu "
+      "index memory: %s body=%s resident=%s major_faults=%llu "
       "minor_faults=%llu",
-      FrozenLayoutName(mem.layout), mem.cold ? "cold" : "warm",
+      mem.cold ? "cold" : "warm",
       FormatWithCommas(mem.body_bytes).c_str(),
       FormatWithCommas(mem.body_resident_bytes).c_str(),
       static_cast<unsigned long long>(mem.major_faults),
@@ -564,9 +552,8 @@ int RunServe(const std::vector<std::string>& args) {
     return 1;
   }
   CoskqServer::InstallSignalHandlers(&server);
-  if (!port_file.empty() && !WritePortFileAtomic(port_file, server.port())) {
-    std::fprintf(stderr, "warning: could not write port file %s\n",
-                 port_file.c_str());
+  if (!port_file.empty()) {
+    WritePortFile(port_file, server.port());
   }
   std::printf("serving on %s:%u (workers=%d queue=%zu); SIGTERM drains\n",
               options.host.c_str(), server.port(), options.num_workers,
@@ -589,12 +576,6 @@ int RunIndexBuild(const std::vector<std::string>& args) {
         return Usage();
       }
       tree_options.max_entries = static_cast<int>(value);
-    } else if (args[i] == "--layout") {
-      if (!FrozenLayoutFromName(args[i + 1], &tree_options.frozen_layout)) {
-        std::fprintf(stderr, "unknown layout '%s' (bfs, level-grouped)\n",
-                     args[i + 1].c_str());
-        return Usage();
-      }
     } else {
       return Usage();
     }
@@ -622,11 +603,11 @@ int RunIndexBuild(const std::vector<std::string>& args) {
   }
   std::printf(
       "built IR-tree over %s objects in %.1f ms; wrote %s bytes to %s "
-      "in %.1f ms (%s nodes, height %u, layout %s)\n",
+      "in %.1f ms (%s nodes, height %u)\n",
       FormatWithCommas(dataset.NumObjects()).c_str(), build_ms,
       FormatWithCommas(info->file_bytes).c_str(), args[1].c_str(),
       save_timer.ElapsedMillis(), FormatWithCommas(info->num_nodes).c_str(),
-      info->height, FrozenLayoutName(info->layout));
+      info->height);
   return 0;
 }
 
@@ -658,7 +639,6 @@ int RunIndexInspect(const std::vector<std::string>& args) {
               FormatWithCommas(info->num_post_terms).c_str(),
               FormatWithCommas(info->num_postings).c_str());
   std::printf("  height           %u\n", info->height);
-  std::printf("  layout           %s\n", FrozenLayoutName(info->layout));
   std::printf("  header bytes     %s\n",
               FormatWithCommas(info->header_bytes).c_str());
   constexpr uint64_t kPage = 4096;
@@ -670,9 +650,8 @@ int RunIndexInspect(const std::vector<std::string>& args) {
               FormatWithCommas(info->file_bytes).c_str());
 
   if (info->version < kSnapshotVersion) {
-    // v1/v2 bodies hold per-object keyword spans; loading converts them.
-    std::printf("  body sections: v%u keyword-span body (converted to the "
-                "v%u posting layout on load)\n",
+    std::printf("  body sections: v%u body (converted to the v%u body on "
+                "load)\n",
                 info->version, kSnapshotVersion);
     return 0;
   }
@@ -680,7 +659,6 @@ int RunIndexInspect(const std::vector<std::string>& args) {
   // loader lays the body out.
   using internal_index::BodyLayout;
   const BodyLayout lay = BodyLayout::Make(
-      info->layout,
       internal_index::BodyCounts{info->num_nodes, info->num_leaf_entries,
                                  info->num_terms, info->num_post_terms,
                                  info->num_postings});
@@ -689,16 +667,13 @@ int RunIndexInspect(const std::vector<std::string>& args) {
                 FormatWithCommas(end - begin).c_str(),
                 FormatWithCommas(pages(end - begin)).c_str());
   };
-  std::printf("  body sections (%s node region):\n",
-              info->layout == FrozenLayout::kLevelGrouped
-                  ? "page-group interleaved"
-                  : "per-lane");
-  section("node region", 0, lay.node_region_bytes);
+  std::printf("  body sections:\n");
+  section("node records", lay.nodes_off, lay.min_x_off);
+  section("node mbrs", lay.min_x_off, lay.terms_off);
   section("term arena", lay.terms_off, lay.leaf_ids_off);
   section("leaf ids", lay.leaf_ids_off, lay.leaf_x_off);
   section("leaf x", lay.leaf_x_off, lay.leaf_y_off);
-  section("leaf y", lay.leaf_y_off, lay.leaf_sigs_off);
-  section("leaf sigs", lay.leaf_sigs_off, lay.post_begin_off);
+  section("leaf y", lay.leaf_y_off, lay.post_begin_off);
   section("post begin", lay.post_begin_off, lay.post_entries_off);
   section("post entries", lay.post_entries_off, lay.total_bytes);
   return 0;
@@ -722,12 +697,6 @@ int RunShardBuild(const std::vector<std::string>& args) {
         return Usage();
       }
       options.max_entries = static_cast<int>(value);
-    } else if (args[i] == "--layout") {
-      if (!FrozenLayoutFromName(args[i + 1], &options.layout)) {
-        std::fprintf(stderr, "unknown layout '%s' (bfs, level-grouped)\n",
-                     args[i + 1].c_str());
-        return Usage();
-      }
     } else {
       return Usage();
     }
@@ -868,9 +837,8 @@ int RunRoute(const std::vector<std::string>& args) {
     return 1;
   }
   ClusterRouter::InstallSignalHandlers(&router);
-  if (!port_file.empty() && !WritePortFileAtomic(port_file, router.port())) {
-    std::fprintf(stderr, "warning: could not write port file %s\n",
-                 port_file.c_str());
+  if (!port_file.empty()) {
+    WritePortFile(port_file, router.port());
   }
   std::printf(
       "routing on %s:%u over %zu shards (%s objects, manifest %016llx); "
