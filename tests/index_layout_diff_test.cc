@@ -1,16 +1,18 @@
-// Differential suite for the frozen body layouts, over seeds 0-49: the
-// level-grouped (page-local) layout must be *bit-identical* to the bfs
-// layout on every query path (KeywordNn, NnSet, RangeRelevant,
-// RelevantStream — baseline and masked) and every registry solver, down to
-// node-visit logs and distance-memo counters. Both layouts keep the same
-// BFS slot numbering; only the physical byte placement differs, so any
-// divergence here is a layout-addressing bug, never a legitimate
-// traversal difference.
+// Differential suite for the level-grouped (page-local) node layout, over
+// seeds 0-49. The layout survives only in legacy (v1-v3) snapshot files,
+// which the loader converts into the one v4 body; a tree loaded from the v3
+// file a level-grouped build wrote for a tree must be *bit-identical* to
+// that tree frozen in process on every query path (KeywordNn, NnSet,
+// RangeRelevant, RelevantStream — baseline and masked) and every registry
+// solver, down to node-visit logs and distance-memo counters. Both layouts
+// keep the same BFS slot numbering; only the physical byte placement
+// differed, so any divergence here is a conversion-addressing bug, never a
+// legitimate traversal difference.
 //
 // Every check runs once per supported SIMD kernel (scalar always, plus
-// sse2/avx2 where the hardware has them): the bfs-side expectation is
-// computed under the same kernel the level-grouped side runs, so kernel
-// and layout are varied independently.
+// avx2 where the hardware has it): the bfs-side expectation is computed
+// under the same kernel the level-grouped side runs, so kernel and source
+// layout are varied independently.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +26,7 @@
 #include "index/irtree.h"
 #include "index/kernels.h"
 #include "index/search_scratch.h"
+#include "snapshot_forge.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -59,19 +62,15 @@ class LayoutDiffTest : public ::testing::TestWithParam<uint64_t> {
     const uint64_t seed = GetParam();
     dataset_ = test::MakeRandomDataset(150, 25, 3.0, seed + 1);
 
-    IrTree::Options bfs_options;
-    bfs_options.frozen_layout = FrozenLayout::kBfs;
-    bfs_ = std::make_unique<IrTree>(&dataset_, bfs_options);
+    bfs_ = std::make_unique<IrTree>(&dataset_);
     bfs_->Freeze();
     ASSERT_TRUE(bfs_->frozen());
-    ASSERT_EQ(bfs_->MemoryStats().layout, FrozenLayout::kBfs);
 
-    IrTree::Options lg_options;
-    lg_options.frozen_layout = FrozenLayout::kLevelGrouped;
-    lg_ = std::make_unique<IrTree>(&dataset_, lg_options);
-    lg_->Freeze();
+    auto loaded = snapshot_forge::LoadAsLevelGroupedV3(
+        &dataset_, bfs_.get(), test::UniqueTempPath("layout"));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    lg_ = std::move(*loaded);
     ASSERT_TRUE(lg_->frozen());
-    ASSERT_EQ(lg_->MemoryStats().layout, FrozenLayout::kLevelGrouped);
 
     bfs_context_ = CoskqContext{&dataset_, bfs_.get()};
     lg_context_ = CoskqContext{&dataset_, lg_.get()};
@@ -92,7 +91,9 @@ class LayoutDiffTest : public ::testing::TestWithParam<uint64_t> {
 TEST_P(LayoutDiffTest, BothLayoutsPassInvariants) {
   bfs_->CheckInvariants();
   lg_->CheckInvariants();
-  // Same logical tree shape regardless of physical placement.
+  // Same logical tree shape regardless of physical placement, and the
+  // converter writes the body Freeze() writes.
+  EXPECT_EQ(lg_->MemoryStats().body_bytes, bfs_->MemoryStats().body_bytes);
   EXPECT_EQ(lg_->NodeCount(), bfs_->NodeCount());
   EXPECT_EQ(lg_->Height(), bfs_->Height());
   EXPECT_EQ(lg_->node_id_limit(), bfs_->node_id_limit());

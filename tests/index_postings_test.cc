@@ -1,25 +1,32 @@
 // Range retrieval from the frozen body's term-major posting file
-// (DESIGN.md §11). Over seeds 0-49, every RangeRelevant call — unmasked and masked — must return exactly the tree
-// walk's output, in the same order (asking for a visit log forces the tree
-// walk), and the brute-force answer as a set; before any mutation it must
-// also equal a never-frozen pointer tree's output in order. The query mix
-// covers delta inserts and tombstones, queries with more than 64 keywords
-// (the unmasked entry), terms absent from the base, empty, negative-radius
-// and whole-MBR disks, and it must exercise both planner branches. The
-// posting-fed KeywordMatches harvest (the server's RELEVANT verb) must equal
-// a brute-force scan with the same masks and id order.
+// (DESIGN.md §11). Over seeds 0-49 and two sources of the frozen body — a
+// tree frozen in process ("bfs") and one loaded from the v3 file a
+// level-grouped build wrote for the same tree ("lg"), which the legacy
+// converter turns into the same v4 body — every RangeRelevant call —
+// unmasked and masked — must return exactly the tree walk's output, in the
+// same order (asking for a visit log forces the tree walk), and the
+// brute-force answer as a set; before any mutation it must also equal a
+// never-frozen pointer tree's output in order. The query mix covers delta
+// inserts and tombstones, queries with more than 64 keywords (the unmasked
+// entry), terms absent from the base, empty, negative-radius and whole-MBR
+// disks, and it must exercise both planner branches. The posting-fed
+// KeywordMatches harvest (the server's RELEVANT verb) must equal a
+// brute-force scan with the same masks and id order.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "geo/circle.h"
 #include "index/irtree.h"
 #include "index/search_scratch.h"
+#include "snapshot_forge.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -36,10 +43,17 @@ struct RangeQuery {
   TermSet terms;
 };
 
-class PostingsDiffTest : public ::testing::TestWithParam<uint64_t> {
+/// Where the frozen body under test comes from.
+enum class BodySource : uint32_t {
+  kFrozen = 0,            // Freeze() in this process.
+  kLevelGroupedFile = 1,  // A legacy level-grouped v3 snapshot, converted.
+};
+
+class PostingsDiffTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, BodySource>> {
  protected:
   void SetUp() override {
-    seed_ = GetParam();
+    seed_ = std::get<0>(GetParam());
     dataset_ = test::MakeRandomDataset(kNumObjects, kVocab, 3.0, seed_ + 100);
     for (ObjectId id = 0; id < kBaseObjects; ++id) {
       live_.insert(id);
@@ -47,6 +61,12 @@ class PostingsDiffTest : public ::testing::TestWithParam<uint64_t> {
     const std::vector<ObjectId> base(live_.begin(), live_.end());
     tree_ = std::make_unique<IrTree>(&dataset_, IrTree::Options(), base);
     tree_->Freeze();
+    if (std::get<1>(GetParam()) == BodySource::kLevelGroupedFile) {
+      auto loaded = snapshot_forge::LoadAsLevelGroupedV3(
+          &dataset_, tree_.get(), test::UniqueTempPath("postings"));
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      tree_ = std::move(*loaded);
+    }
     pointer_ = std::make_unique<IrTree>(&dataset_, IrTree::Options(), base);
   }
 
@@ -241,9 +261,13 @@ TEST_P(PostingsDiffTest, KeywordMatchesEqualBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Seeds, PostingsDiffTest, ::testing::Range<uint64_t>(0, 50),
+    Seeds, PostingsDiffTest,
+    ::testing::Combine(::testing::Range<uint64_t>(0, 50),
+                       ::testing::Values(BodySource::kFrozen,
+                                         BodySource::kLevelGroupedFile)),
     [](const ::testing::TestParamInfo<PostingsDiffTest::ParamType>& info) {
-      return "seed" + std::to_string(info.param);
+      return "seed" + std::to_string(std::get<0>(info.param)) + "_" +
+             (std::get<1>(info.param) == BodySource::kFrozen ? "bfs" : "lg");
     });
 
 TEST(PostingsCountersTest, CountersReportThePathAndTheEntriesExamined) {
